@@ -2,20 +2,21 @@
 //! vehicle, Section 6: "Both the presented analyses and Kemmerer's method
 //! have been implemented using the Succinct Solver").
 //!
-//! The native Rust implementation in [`crate::closure`] is the one used for
-//! benchmarking; the clause systems generated here demonstrate the paper's
-//! implementation route and serve as an independent cross-check: the flow
-//! graph extracted from the least model of the clause system must coincide
-//! with the graph of the native analysis (see the `alfp_crosscheck`
-//! integration test).
+//! The native Rust implementations in [`crate::closure`] and
+//! [`crate::improved`] are the ones used for benchmarking; the clause systems
+//! generated here demonstrate the paper's implementation route and serve as
+//! an independent cross-check of Tables 8 and 9: the flow graph extracted
+//! from the least model of the clause system must coincide with the graph of
+//! the native analysis (see the `alfp_crosscheck` integration test and the
+//! `engine_differential` corpus test).
 
 use crate::analysis::AnalysisResult;
 use crate::graph::FlowGraph;
 use crate::rm::{Access, Node};
 use alfp_solver::{Model, Program, SolveError, Symbol, Term};
-use std::collections::HashMap;
-use vhdl1_dataflow::Def;
-use vhdl1_syntax::Label;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use vhdl1_dataflow::{BlockKind, Def};
+use vhdl1_syntax::{Design, Ident, Label};
 
 fn node_symbol(n: &Node) -> String {
     match n {
@@ -232,6 +233,177 @@ pub fn encode_closure(result: &AnalysisResult) -> Program {
     p
 }
 
+/// Encodes the improved analysis (Table 9) as a clause program: the Table 8
+/// program of [`encode_closure`] plus the incoming (`n◦`) and outgoing
+/// (`n•`) nodes of the environment process `π`.
+///
+/// Additional relations:
+///
+/// * `rd_init(n, l)` — `(n, ?) ∈ RD†(l)`, already part of [`encode_closure`],
+/// * `incoming_of(n, n◦)` — the incoming node of every resource read,
+/// * `input(n)` — the `in` ports of the entity, the only signals `π` drives,
+/// * `out_def(n, n•, l_out)` — an outgoing value and its synthetic label,
+/// * `out_at(l_out, l)` — the labels whose values form the outgoing value:
+///   every wait label for an `out` port, and under
+///   [`crate::ImprovedOptions::finals_are_outgoing`] the final assignments of
+///   the target.
+///
+/// The synthetic labels follow [`crate::improved`]: `out` ports in name
+/// order from `max_label + 1`, then the new targets of final assignments.
+pub fn encode_improved(design: &Design, result: &AnalysisResult) -> Program {
+    let mut p = encode_closure(result);
+    let mut syms = SymbolCache::new();
+    let incoming_of = p.intern("incoming_of");
+    let input = p.intern("input");
+    let out_def = p.intern("out_def");
+    let out_at = p.intern("out_at");
+
+    // Facts: incoming nodes of the resources read, and the `in` ports.
+    let read: BTreeSet<&Ident> = result
+        .specialized
+        .present
+        .values()
+        .flatten()
+        .map(|(n, _)| n)
+        .collect();
+    for n in read {
+        let res = syms.resource(&mut p, n);
+        let node = syms.node(&mut p, &Node::incoming(n.clone()));
+        p.fact_interned(incoming_of, vec![res, node]);
+    }
+    for n in design.input_signals() {
+        let res = syms.resource(&mut p, &n);
+        p.fact_interned(input, vec![res]);
+    }
+
+    // Facts: the outgoing values of π and where they are formed.
+    let wait_labels: Vec<Label> = result
+        .rd
+        .cfg
+        .processes
+        .iter()
+        .flat_map(|pr| pr.wait_labels())
+        .collect();
+    let outputs: BTreeSet<Ident> = design.output_signals().into_iter().collect();
+    let mut next = design.max_label() + 1;
+    let mut out_labels: BTreeMap<Ident, Label> = BTreeMap::new();
+    let mut formed_at: Vec<(Label, Label)> = Vec::new();
+    for s in outputs {
+        formed_at.extend(wait_labels.iter().map(|&w| (next, w)));
+        out_labels.insert(s, next);
+        next += 1;
+    }
+    if result.options.improved_options.finals_are_outgoing {
+        for pr in &result.rd.cfg.processes {
+            for l in &pr.finals {
+                let Some(BlockKind::VarAssign { target, .. }) = pr.blocks.get(l).map(|b| &b.kind)
+                else {
+                    continue;
+                };
+                let l_out = *out_labels.entry(target.name.clone()).or_insert_with(|| {
+                    next += 1;
+                    next - 1
+                });
+                formed_at.push((l_out, *l));
+            }
+        }
+    }
+    for (n, l_out) in &out_labels {
+        let res = syms.resource(&mut p, n);
+        let node = syms.node(&mut p, &Node::outgoing(n.clone()));
+        let l_out = syms.label(&mut p, *l_out);
+        p.fact_interned(out_def, vec![res, node, l_out]);
+    }
+    for (l_out, l) in formed_at {
+        let l_out = syms.label(&mut p, l_out);
+        let l = syms.label(&mut p, l);
+        p.fact_interned(out_at, vec![l_out, l]);
+    }
+
+    // [Initial values]: rm_gl(I, L, r0) :- rd_init(N, L), incoming_of(N, I).
+    p.rule(
+        "rm_gl",
+        vec![Term::var("I"), Term::var("L"), Term::cst("r0")],
+    )
+    .pos("rd_init", vec![Term::var("N"), Term::var("L")])
+    .pos("incoming_of", vec![Term::var("N"), Term::var("I")])
+    .build();
+
+    // [Incoming values]:
+    // rm_gl(I, L, r0) :- rd_dag(N, LP, L), wait_label(LP), input(N),
+    //                    incoming_of(N, I).
+    p.rule(
+        "rm_gl",
+        vec![Term::var("I"), Term::var("L"), Term::cst("r0")],
+    )
+    .pos(
+        "rd_dag",
+        vec![Term::var("N"), Term::var("LP"), Term::var("L")],
+    )
+    .pos("wait_label", vec![Term::var("LP")])
+    .pos("input", vec![Term::var("N")])
+    .pos("incoming_of", vec![Term::var("N"), Term::var("I")])
+    .build();
+
+    // [Outgoing values]: rm_gl(O, LO, m1) :- out_def(N, O, LO).
+    //                    rm_gl(N, LO, r0) :- out_def(N, O, LO).
+    for (head, access) in [("O", "m1"), ("N", "r0")] {
+        p.rule(
+            "rm_gl",
+            vec![Term::var(head), Term::var("LO"), Term::cst(access)],
+        )
+        .pos(
+            "out_def",
+            vec![Term::var("N"), Term::var("O"), Term::var("LO")],
+        )
+        .build();
+    }
+
+    // [Outcoming values]:
+    // rm_gl(M, LO, r0) :- out_def(N, O, LO), out_at(LO, L), rd_phi(N, LD, L),
+    //                     rm_gl(M, LD, r0).
+    p.rule(
+        "rm_gl",
+        vec![Term::var("M"), Term::var("LO"), Term::cst("r0")],
+    )
+    .pos(
+        "out_def",
+        vec![Term::var("N"), Term::var("O"), Term::var("LO")],
+    )
+    .pos("out_at", vec![Term::var("LO"), Term::var("L")])
+    .pos(
+        "rd_phi",
+        vec![Term::var("N"), Term::var("LD"), Term::var("L")],
+    )
+    .pos(
+        "rm_gl",
+        vec![Term::var("M"), Term::var("LD"), Term::cst("r0")],
+    )
+    .build();
+
+    // Final assignments (sequential illustration): the value is formed at a
+    // plain assignment rather than a wait, so its reads flow out directly.
+    // rm_gl(M, LO, r0) :- out_def(N, O, LO), out_at(LO, L), ¬wait_label(L),
+    //                     rm_gl(M, L, r0).
+    p.rule(
+        "rm_gl",
+        vec![Term::var("M"), Term::var("LO"), Term::cst("r0")],
+    )
+    .pos(
+        "out_def",
+        vec![Term::var("N"), Term::var("O"), Term::var("LO")],
+    )
+    .pos("out_at", vec![Term::var("LO"), Term::var("L")])
+    .neg("wait_label", vec![Term::var("L")])
+    .pos(
+        "rm_gl",
+        vec![Term::var("M"), Term::var("L"), Term::cst("r0")],
+    )
+    .build();
+
+    p
+}
+
 /// Encodes Kemmerer's method as a clause program: direct flows from the local
 /// Resource Matrix followed by a transitive closure.
 pub fn encode_kemmerer(result: &AnalysisResult) -> Program {
@@ -319,6 +491,16 @@ pub fn solve_closure_bounded(
     limits: &alfp_solver::SolveLimits,
 ) -> Result<FlowGraph, SolveError> {
     let model = encode_closure(result).solve_bounded(limits)?;
+    Ok(graph_from_model(&model))
+}
+
+/// Solves the encoded improved analysis and returns the resulting graph.
+///
+/// # Errors
+///
+/// Propagates [`SolveError`] from the solver.
+pub fn solve_improved(design: &Design, result: &AnalysisResult) -> Result<FlowGraph, SolveError> {
+    let model = encode_improved(design, result).solve()?;
     Ok(graph_from_model(&model))
 }
 

@@ -9,15 +9,44 @@
 //! through a warm engine yields byte-for-byte the same graphs while
 //! performing zero additional stage computations, mirroring the
 //! worker-count-independence golden tests of `vhdl1c`.
+//!
+//! The improved closure (Table 9) is checked twice more per design: against
+//! its ALFP clause encoding, and against the base closure (Table 8), which
+//! it must contain exactly on the plain resources at program labels.
 
 use vhdl1_corpus::{generate, CorpusSpec};
-use vhdl1_infoflow::{analyze_with, AnalysisOptions, Engine, EngineStats};
+use vhdl1_infoflow::alfp_encoding::solve_improved;
+use vhdl1_infoflow::{
+    analyze_with, AnalysisOptions, Engine, EngineStats, ImprovedClosure, Node, ResourceMatrix,
+};
+use vhdl1_syntax::Design;
 
 fn corpus_sources(seed: u64, count: usize) -> Vec<(String, String)> {
     generate(&CorpusSpec::new(seed, count))
         .into_iter()
         .map(|d| (d.name, d.source))
         .collect()
+}
+
+/// Asserts that `global` is `improved` restricted to plain resources at the
+/// labels of the design: Table 9 adds only incoming/outgoing nodes and the
+/// synthetic labels of the environment process.
+fn assert_restricts_to_global(
+    design: &Design,
+    improved: &ImprovedClosure,
+    global: &ResourceMatrix,
+    name: &str,
+) {
+    let mut restricted = ResourceMatrix::new();
+    for e in improved.matrix.iter() {
+        if matches!(e.node, Node::Res(_)) && e.label <= design.max_label() {
+            restricted.insert(e.node.clone(), e.label, e.access);
+        }
+    }
+    assert_eq!(
+        &restricted, global,
+        "{name}: improved ≠ global on Res × labels"
+    );
 }
 
 fn check_against_eager(options: AnalysisOptions, seed: u64, count: usize) {
@@ -53,6 +82,9 @@ fn check_against_eager(options: AnalysisOptions, seed: u64, count: usize) {
             eager.improved.as_ref(),
             "{name}"
         );
+        if let Some(improved) = graph_first.improved().unwrap() {
+            assert_restricts_to_global(&design, improved, graph_first.global().unwrap(), name);
+        }
 
         // Rd-first order: stages demanded upstream-to-downstream.
         let rd_first = engine.analyze(&design);
@@ -93,6 +125,34 @@ fn lazy_queries_match_eager_pipeline_in_both_orders() {
 #[test]
 fn lazy_queries_match_eager_pipeline_under_base_options() {
     check_against_eager(AnalysisOptions::base(), 11, 12);
+}
+
+#[test]
+fn improved_closure_matches_its_alfp_encoding() {
+    for options in [
+        AnalysisOptions::default(),
+        AnalysisOptions::sequential_illustration(),
+    ] {
+        for seed in [7, 42] {
+            for (name, src) in corpus_sources(seed, 20) {
+                let design = vhdl1_syntax::frontend(&src).expect("corpus designs elaborate");
+                let result = analyze_with(&design, &options);
+                let improved = result
+                    .improved
+                    .as_ref()
+                    .expect("improved analysis requested");
+                let alfp = solve_improved(&design, &result)
+                    .expect("generated clauses are safe and stratified");
+                let native = result.flow_graph();
+                assert_eq!(
+                    alfp.edges().collect::<Vec<_>>(),
+                    native.edges().collect::<Vec<_>>(),
+                    "{name} (seed {seed})"
+                );
+                assert_restricts_to_global(&design, improved, &result.global, &name);
+            }
+        }
+    }
 }
 
 #[test]

@@ -2,11 +2,11 @@
 //! Succinct Solver substrate) must compute exactly the same graphs as the
 //! native Rust implementation.
 
-use bench::workloads::{design_of, program_a_src, temp_reuse_src};
+use bench::workloads::{design_of, program_a_src, program_b_src, temp_reuse_src};
 use vhdl_infoflow::aes::vhdl::shift_rows_vhdl;
 use vhdl_infoflow::alfp::{Program, Term};
-use vhdl_infoflow::infoflow::alfp_encoding::{solve_closure, solve_kemmerer};
-use vhdl_infoflow::infoflow::{analyze_with, AnalysisOptions};
+use vhdl_infoflow::infoflow::alfp_encoding::{solve_closure, solve_improved, solve_kemmerer};
+use vhdl_infoflow::infoflow::{analyze_with, AnalysisOptions, Node};
 use vhdl_infoflow::syntax::frontend;
 
 fn assert_same_graph(
@@ -36,6 +36,32 @@ fn closure_encoding_agrees_on_the_evaluation_workloads() {
         let alfp = solve_closure(&result).expect("generated clauses are safe and stratified");
         assert_same_graph(&native, &alfp);
     }
+}
+
+#[test]
+fn improved_encoding_agrees_on_figure_4b_and_shift_rows() {
+    for (src, opts) in [
+        (program_b_src(), AnalysisOptions::sequential_illustration()),
+        (shift_rows_vhdl(), AnalysisOptions::default()),
+    ] {
+        let design = design_of(&src);
+        let result = analyze_with(&design, &opts);
+        let native = result.flow_graph();
+        let alfp =
+            solve_improved(&design, &result).expect("generated clauses are safe and stratified");
+        assert_same_graph(&native, &alfp);
+        assert!(
+            alfp.nodes()
+                .any(|n| matches!(n, Node::Incoming(_) | Node::Outgoing(_))),
+            "the improved graph carries the nodes of the environment process"
+        );
+    }
+    // Figure 4(b): the final assignment c := b forms the outgoing value c•.
+    let design = design_of(&program_b_src());
+    let result = analyze_with(&design, &AnalysisOptions::sequential_illustration());
+    let alfp = solve_improved(&design, &result).unwrap();
+    assert!(alfp.has_edge_nodes(&Node::res("b"), &Node::outgoing("c")));
+    assert!(!alfp.has_edge_nodes(&Node::incoming("b"), &Node::res("c")));
 }
 
 #[test]
