@@ -301,8 +301,9 @@ pub fn encode_improved(design: &Design, result: &AnalysisResult) -> Program {
                     continue;
                 };
                 let l_out = *out_labels.entry(target.name.clone()).or_insert_with(|| {
+                    let l = next;
                     next += 1;
-                    next - 1
+                    l
                 });
                 formed_at.push((l_out, *l));
             }

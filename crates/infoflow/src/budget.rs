@@ -31,13 +31,9 @@ pub struct Budget {
     pub max_parse_depth: Option<u32>,
     /// Maximum worklist iterations per Reaching Definitions fixpoint solve.
     pub max_dataflow_steps: Option<u64>,
-    /// Maximum closure iterations (Table 8 worklist pops; Table 9 rounds
-    /// plus applied additions).
+    /// Maximum worklist pops per closure (Table 8 or Table 9): one pop per
+    /// `R0` entry of the closed matrix.
     pub max_closure_iterations: Option<u64>,
-    /// Maximum total fact count in an ALFP solver run.
-    pub max_alfp_facts: Option<u64>,
-    /// Maximum semi-naive rounds in an ALFP solver run.
-    pub max_alfp_rounds: Option<u64>,
     /// Maximum delta cycles in a smoke simulation (further capped by the
     /// caller's own `max_deltas` argument).
     pub max_sim_deltas: Option<u64>,
@@ -65,8 +61,6 @@ impl Budget {
             max_parse_depth: Some(64),
             max_dataflow_steps: Some(20_000),
             max_closure_iterations: Some(10_000),
-            max_alfp_facts: Some(50_000),
-            max_alfp_rounds: Some(10_000),
             max_sim_deltas: Some(1_000),
             max_sim_steps: Some(200_000),
             deadline_ms: None,
@@ -81,8 +75,6 @@ impl Budget {
             max_parse_depth: None,
             max_dataflow_steps: Some(2_000_000),
             max_closure_iterations: Some(1_000_000),
-            max_alfp_facts: Some(5_000_000),
-            max_alfp_rounds: Some(1_000_000),
             max_sim_deltas: Some(20_000),
             max_sim_steps: Some(20_000_000),
             deadline_ms: None,

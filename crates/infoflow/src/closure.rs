@@ -6,12 +6,16 @@
 //! chains that the Reaching Definitions analyses admit.  This is what makes
 //! the resulting information-flow graph non-transitive and eliminates the
 //! "spurious flows" of overwritten variables and signals.
+//!
+//! Every rule only copies `(n, ·, R0)` entries along label-to-label edges,
+//! so one worklist (`close`) computes the closure; the improved analysis
+//! of [`crate::improved`] runs the same worklist with more seeds and edges.
 
 use crate::rm::{Access, Node, ResourceMatrix};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use vhdl1_dataflow::{Def, ReachingDefinitions};
-use vhdl1_syntax::{Design, Ident, Label};
+use vhdl1_syntax::{Ident, Label};
 
 /// A closure fixpoint (Table 8 or Table 9) failed to converge within its
 /// iteration budget.
@@ -44,18 +48,6 @@ pub struct SpecializedRd {
     /// `RD†ϕ(l)`: active-signal definitions that reach *and are synchronised
     /// at* the wait label `l`.
     pub active: BTreeMap<Label, BTreeSet<(Ident, Label)>>,
-}
-
-impl SpecializedRd {
-    /// `RD†(l)` (empty set if the label carries no reads).
-    pub fn present_at(&self, l: Label) -> BTreeSet<(Ident, Def)> {
-        self.present.get(&l).cloned().unwrap_or_default()
-    }
-
-    /// `RD†ϕ(l)` (empty set if `l` is not a synchronising wait).
-    pub fn active_at(&self, l: Label) -> BTreeSet<(Ident, Label)> {
-        self.active.get(&l).cloned().unwrap_or_default()
-    }
 }
 
 /// Computes the specialisation of Table 7.
@@ -113,91 +105,38 @@ pub fn specialize_rd(
     out
 }
 
-/// One round of the two propagation rules of Table 8: returns the entries
-/// that should be added to `global` but are not yet present.
-///
-/// * `[Present values and local variables]`:
-///   `(n', l') ∈ RD†(l)` and `(n, l', R0) ∈ RM_gl` imply `(n, l, R0) ∈ RM_gl`.
-/// * `[Synchronized values]`:
-///   `(s', l_i) ∈ RD†(l)`, `(s', l'') ∈ RD†ϕ(l_j)`, `(s, l'', R0) ∈ RM_gl`
-///   and `l_i`, `l_j` co-occurring in `cf` imply `(s, l, R0) ∈ RM_gl`.
-pub fn table8_step(
-    global: &ResourceMatrix,
-    rd: &ReachingDefinitions,
-    spec: &SpecializedRd,
-    wait_labels: &BTreeSet<Label>,
-) -> Vec<(Node, Label, Access)> {
-    let mut additions: Vec<(Node, Label, Access)> = Vec::new();
-
-    // [Present values and local variables]
-    for (&l, defs) in &spec.present {
-        for (_n_prime, def) in defs {
-            let Def::At(l_prime) = def else { continue };
-            for entry in global.at_label(*l_prime) {
-                if entry.access == Access::R0 && !global.contains(entry.node, l, Access::R0) {
-                    additions.push((entry.node.clone(), l, Access::R0));
-                }
-            }
-        }
-    }
-
-    // [Synchronized values]
-    for (&l, defs) in &spec.present {
-        for (s_prime, def) in defs {
-            let Def::At(li) = def else { continue };
-            if !wait_labels.contains(li) {
-                continue;
-            }
-            for (&lj, active_defs) in &spec.active {
-                if !rd.cross.co_occur(*li, lj) {
-                    continue;
-                }
-                for (s2, l_dprime) in active_defs {
-                    if s2 != s_prime {
-                        continue;
-                    }
-                    for entry in global.at_label(*l_dprime) {
-                        if entry.access == Access::R0 && !global.contains(entry.node, l, Access::R0)
-                        {
-                            additions.push((entry.node.clone(), l, Access::R0));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    additions
+/// Labels of the `wait` statements of every process.
+pub(crate) fn wait_labels(rd: &ReachingDefinitions) -> BTreeSet<Label> {
+    rd.cfg
+        .processes
+        .iter()
+        .flat_map(|p| p.wait_labels())
+        .collect()
 }
 
-/// The label-to-label propagation relation induced by the two rules of
-/// Table 8: an edge `l' → l` means every `(n, l', R0)` entry of `RM_gl`
-/// implies the entry `(n, l, R0)`.
+/// Label-to-label propagation edges: `l' → l` means every `(n, l', R0)`
+/// entry implies the entry `(n, l, R0)`.
+pub(crate) type Edges = HashMap<Label, BTreeSet<Label>>;
+
+/// The propagation edges induced by the two rules of Table 8.
 ///
 /// Both rules have this shape — the rule premises mention `RM_gl` only
 /// through `(n, ·, R0)` with the node passed through unchanged — so the
 /// whole closure collapses to reachability over these edges, computed once
 /// from the specialised Reaching Definitions.
-fn propagation_edges(
+pub(crate) fn propagation_edges(
     rd: &ReachingDefinitions,
     spec: &SpecializedRd,
     wait_labels: &BTreeSet<Label>,
-) -> HashMap<Label, Vec<Label>> {
-    let mut seen: HashSet<(Label, Label)> = HashSet::new();
-    let mut edges: HashMap<Label, Vec<Label>> = HashMap::new();
-    let mut add = |edges: &mut HashMap<Label, Vec<Label>>, from: Label, to: Label| {
-        if seen.insert((from, to)) {
-            edges.entry(from).or_default().push(to);
-        }
-    };
-
+) -> Edges {
+    let mut edges = Edges::new();
     for (&l, defs) in &spec.present {
         for (s_prime, def) in defs {
             let Def::At(l_prime) = def else { continue };
 
             // [Present values and local variables]: (n', l') ∈ RD†(l) lets
             // R0 entries at l' flow to l.
-            add(&mut edges, *l_prime, l);
+            edges.entry(*l_prime).or_default().insert(l);
 
             // [Synchronized values]: definitions made at a wait label l_i
             // additionally pull in the active-signal definitions of every
@@ -211,7 +150,7 @@ fn propagation_edges(
                 }
                 for (s2, l_dprime) in active_defs {
                     if s2 == s_prime {
-                        add(&mut edges, *l_dprime, l);
+                        edges.entry(*l_dprime).or_default().insert(l);
                     }
                 }
             }
@@ -223,19 +162,12 @@ fn propagation_edges(
 /// Computes the global Resource Matrix `RM_gl` of Table 8 by closing the
 /// local dependencies under the two propagation rules, guided by the
 /// specialised Reaching Definitions.
-///
-/// Instead of re-running the rule premises to a fixpoint, the closure
-/// precomputes the (private) `propagation_edges` relation and then propagates
-/// each
-/// `(n, l, R0)` entry along it with a worklist, processing every entry
-/// exactly once — semi-naive evaluation specialised to Table 8's shape.
 pub fn global_closure(
-    design: &Design,
     rd: &ReachingDefinitions,
     spec: &SpecializedRd,
     local: &ResourceMatrix,
 ) -> ResourceMatrix {
-    match global_closure_bounded(design, rd, spec, local, u64::MAX) {
+    match global_closure_bounded(rd, spec, local, u64::MAX) {
         Ok(global) => global,
         Err(e) => unreachable!("unbounded closure cannot exhaust: {e}"),
     }
@@ -244,32 +176,39 @@ pub fn global_closure(
 /// [`global_closure`] under an iteration budget: each worklist pop charges
 /// one iteration.
 ///
-/// The worklist processes entries in a deterministic FIFO order, so a given
-/// design and budget always exhaust at the same point — regardless of thread
-/// count or run.
-///
 /// # Errors
 ///
 /// Returns [`ClosureExhausted`] when the closure does not converge within
 /// `max_iterations` worklist pops.
 pub fn global_closure_bounded(
-    design: &Design,
     rd: &ReachingDefinitions,
     spec: &SpecializedRd,
     local: &ResourceMatrix,
     max_iterations: u64,
 ) -> Result<ResourceMatrix, ClosureExhausted> {
-    let _ = design;
-    let mut global = local.clone();
-    let wait_labels: BTreeSet<Label> = rd
-        .cfg
-        .processes
-        .iter()
-        .flat_map(|p| p.wait_labels())
-        .collect();
-    let edges = propagation_edges(rd, spec, &wait_labels);
+    let edges = propagation_edges(rd, spec, &wait_labels(rd));
+    close(local.clone(), &edges, max_iterations)
+}
 
-    let mut worklist: VecDeque<(Node, Label)> = global
+/// Closes `matrix` under `edges`: every `(n, l', R0)` entry and edge
+/// `l' → l` imply `(n, l, R0)`.
+///
+/// A FIFO worklist propagates each `R0` entry exactly once — semi-naive
+/// evaluation specialised to the closures' shape.  Each pop charges one
+/// iteration, so the charge is the number of `R0` entries of the closed
+/// matrix, and a given input and budget always exhaust at the same point
+/// regardless of thread count or run.
+///
+/// # Errors
+///
+/// Returns [`ClosureExhausted`] when the closure does not converge within
+/// `max_iterations` worklist pops.
+pub(crate) fn close(
+    mut matrix: ResourceMatrix,
+    edges: &Edges,
+    max_iterations: u64,
+) -> Result<ResourceMatrix, ClosureExhausted> {
+    let mut worklist: VecDeque<(Node, Label)> = matrix
         .iter()
         .filter(|e| e.access == Access::R0)
         .map(|e| (e.node.clone(), e.label))
@@ -287,12 +226,12 @@ pub fn global_closure_bounded(
             continue;
         };
         for &target in targets {
-            if global.insert(node.clone(), target, Access::R0) {
+            if matrix.insert(node.clone(), target, Access::R0) {
                 worklist.push_back((node.clone(), target));
             }
         }
     }
-    Ok(global)
+    Ok(matrix)
 }
 
 #[cfg(test)]
@@ -301,7 +240,7 @@ mod tests {
     use crate::graph::FlowGraph;
     use crate::local::local_dependencies;
     use vhdl1_dataflow::RdOptions;
-    use vhdl1_syntax::frontend;
+    use vhdl1_syntax::{frontend, Design};
 
     fn sequential(vars_body: &str) -> Design {
         let src = format!(
@@ -328,7 +267,7 @@ mod tests {
         let rd = ReachingDefinitions::compute(&design, &opts);
         let local = local_dependencies(&design);
         let spec = specialize_rd(&rd, &local, true);
-        let global = global_closure(&design, &rd, &spec, &local);
+        let global = global_closure(&rd, &spec, &local);
         FlowGraph::from_resource_matrix(&global)
     }
 
@@ -380,7 +319,7 @@ mod tests {
         let rd = ReachingDefinitions::compute(&design, &opts);
         let local = local_dependencies(&design);
         let spec = specialize_rd(&rd, &local, true);
-        let global = global_closure(&design, &rd, &spec, &local);
+        let global = global_closure(&rd, &spec, &local);
         let g = FlowGraph::from_resource_matrix(&global);
         assert!(g.has_edge("a", "outa"));
         assert!(g.has_edge("b", "outb"));
@@ -414,7 +353,7 @@ mod tests {
         let rd = ReachingDefinitions::compute(&design, &RdOptions::default());
         let local = local_dependencies(&design);
         let spec = specialize_rd(&rd, &local, true);
-        let global = global_closure(&design, &rd, &spec, &local);
+        let global = global_closure(&rd, &spec, &local);
         let g = FlowGraph::from_resource_matrix(&global);
         assert!(g.has_edge("a", "t"), "direct assignment flow");
         assert!(g.has_edge("t", "v"), "present value read into variable");
@@ -436,11 +375,11 @@ mod tests {
         let local = local_dependencies(&design);
         let spec = specialize_rd(&rd, &local, true);
         // Roomy budget: identical to the unbounded closure.
-        let bounded = global_closure_bounded(&design, &rd, &spec, &local, 10_000).unwrap();
-        assert_eq!(bounded, global_closure(&design, &rd, &spec, &local));
+        let bounded = global_closure_bounded(&rd, &spec, &local, 10_000).unwrap();
+        assert_eq!(bounded, global_closure(&rd, &spec, &local));
         // Starved budget: a structured, repeatable error.
-        let e1 = global_closure_bounded(&design, &rd, &spec, &local, 1).unwrap_err();
-        let e2 = global_closure_bounded(&design, &rd, &spec, &local, 1).unwrap_err();
+        let e1 = global_closure_bounded(&rd, &spec, &local, 1).unwrap_err();
+        let e2 = global_closure_bounded(&rd, &spec, &local, 1).unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(e1.limit, 1);
         assert_eq!(e1.iterations, 2);
@@ -466,11 +405,11 @@ mod tests {
         let local = local_dependencies(&design);
         let spec = specialize_rd(&rd, &local, true);
         // At label 3 (b <= y) only y is read, so RD†(3) mentions y but not x.
-        let at3 = spec.present_at(3);
+        let at3 = &spec.present[&3];
         assert!(at3.iter().any(|(n, _)| n == "y"));
         assert!(!at3.iter().any(|(n, _)| n == "x"));
         // Without specialisation x's definition is kept.
         let raw = specialize_rd(&rd, &local, false);
-        assert!(raw.present_at(3).iter().any(|(n, _)| n == "x"));
+        assert!(raw.present[&3].iter().any(|(n, _)| n == "x"));
     }
 }

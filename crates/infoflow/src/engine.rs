@@ -107,7 +107,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 ///   daemon shares artifacts with a non-tracing CLI run.
 pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     let mut buf = Vec::with_capacity(128);
-    buf.extend_from_slice(b"vhdl1-options-v1");
+    buf.extend_from_slice(b"vhdl1-options-v2");
     for flag in [
         options.rd.process_repeats,
         options.rd.use_under_approximation,
@@ -130,8 +130,6 @@ pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     opt_u64(b.max_parse_depth.map(u64::from));
     opt_u64(b.max_dataflow_steps);
     opt_u64(b.max_closure_iterations);
-    opt_u64(b.max_alfp_facts);
-    opt_u64(b.max_alfp_rounds);
     opt_u64(b.max_sim_deltas);
     opt_u64(b.max_sim_steps);
     opt_u64(b.deadline_ms);
@@ -1608,15 +1606,14 @@ impl<'e> Analysis<'e> {
                 self.bump(&self.engine.counters.global);
                 let span = self.engine.trace_begin("global");
                 let max = self.budget().max_closure_iterations.unwrap_or(u64::MAX);
-                let result =
-                    global_closure_bounded(self.design(), rd, spec, local, max).map_err(|e| {
-                        EngineError::ResourceExhausted {
-                            stage: EngineStage::Closure,
-                            limit: e.limit,
-                            consumed: e.iterations,
-                            pos: None,
-                        }
-                    });
+                let result = global_closure_bounded(rd, spec, local, max).map_err(|e| {
+                    EngineError::ResourceExhausted {
+                        stage: EngineStage::Closure,
+                        limit: e.limit,
+                        consumed: e.iterations,
+                        pos: None,
+                    }
+                });
                 if span.is_some() {
                     let (work, items) = match &result {
                         Ok(matrix) => (matrix.len() as u64, matrix.len() as u64),
@@ -1639,7 +1636,7 @@ impl<'e> Analysis<'e> {
     /// # Errors
     ///
     /// Returns [`EngineError::ResourceExhausted`] (stage `improved`) when
-    /// the combined fixpoint exceeds the budget's iteration limit, and
+    /// the combined closure exceeds the budget's iteration limit, and
     /// propagates upstream failures.
     pub fn improved(&self) -> Result<Option<&ImprovedClosure>, EngineError> {
         if self.slots().improved.get().is_none() {
@@ -2799,7 +2796,7 @@ end rtl;";
         // say so in CHANGES.md.
         assert_eq!(
             options_fingerprint(&AnalysisOptions::default()),
-            0x716c_2536_9554_2b4f,
+            0x4075_aaa7_71a8_1c3c,
             "options_fingerprint(default) changed; see comment above"
         );
         let mut base = AnalysisOptions::base();
@@ -2809,7 +2806,7 @@ end rtl;";
             "`improved` participates in the fingerprint"
         );
         let before = options_fingerprint(&base);
-        base.budget.max_alfp_facts = Some(7);
+        base.budget.max_closure_iterations = Some(7);
         assert_ne!(options_fingerprint(&base), before, "budget participates");
         // Tracing is observability-only and deliberately excluded: a
         // tracing daemon shares disk artifacts with a non-tracing CLI.

@@ -69,8 +69,7 @@ pub use analysis::{
 };
 pub use budget::{Budget, CancelFlag};
 pub use closure::{
-    global_closure, global_closure_bounded, specialize_rd, table8_step, ClosureExhausted,
-    SpecializedRd,
+    global_closure, global_closure_bounded, specialize_rd, ClosureExhausted, SpecializedRd,
 };
 pub use dynflow::{DynFlowReport, NoFlowProperty};
 pub use engine::{

@@ -55,7 +55,7 @@ use vhdl1_syntax::Label;
 /// Version stamp of the on-disk artifact format.  Bump on any change to the
 /// payload layout *or* to the semantics of a persisted stage: readers treat
 /// every other version as a miss.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub const ARTIFACT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"VHD1ART\n";
 const EXTENSION: &str = "vhd1art";

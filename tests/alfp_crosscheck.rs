@@ -56,12 +56,6 @@ fn improved_encoding_agrees_on_figure_4b_and_shift_rows() {
             "the improved graph carries the nodes of the environment process"
         );
     }
-    // Figure 4(b): the final assignment c := b forms the outgoing value c•.
-    let design = design_of(&program_b_src());
-    let result = analyze_with(&design, &AnalysisOptions::sequential_illustration());
-    let alfp = solve_improved(&design, &result).unwrap();
-    assert!(alfp.has_edge_nodes(&Node::res("b"), &Node::outgoing("c")));
-    assert!(!alfp.has_edge_nodes(&Node::incoming("b"), &Node::res("c")));
 }
 
 #[test]
