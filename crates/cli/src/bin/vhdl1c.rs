@@ -56,20 +56,17 @@ usage:
   vhdl1c edit-stream [options]
       Generate a deterministic edit stream — a multi-process base design
       plus cumulative single-process mutations — and replay it through
-      one incremental analysis workspace, analyzing every revision in
-      order.  Report bytes are identical to a fresh `analyze` of each
-      revision; only the work differs (untouched processes are reused).
+      one analysis workspace, analyzing every revision in order.  Report
+      bytes are identical to a fresh `analyze` of each revision; a
+      revision seen before (in memory or in --cache-dir) is a memo hit.
       --seed N          stream seed (default 1)
       --processes N     processes in the design (default 8, min 2)
       --edits N         single-process mutations to replay (default 4)
       Takes analyze's --format, --policy, --out, --budget, --base,
       --no-cache, --cache-dir, --timing, --stats and --profile[=FILE]
       options, plus:
-      --check           gate the exit code on batch cleanliness and on
-                        the reuse contract: every edit must recompute
-                        exactly one process (skipped under --no-cache
-                        or a step-bounded --budget, where incremental
-                        reuse is disabled by design)
+      --check           gate the exit code on batch cleanliness: exit 2
+                        on any unexpected error
 
   vhdl1c verify [FILE...] [options]
       Analyze like `analyze`, then witness dynamic flows per design by
@@ -463,35 +460,13 @@ fn edit_stream_command(args: &[String]) -> Result<ExitCode, CliError> {
                 .map_err(|e| runtime(format!("cannot write profile `{path}`: {e}")))?;
         }
     }
-    if check {
-        if !batch.check_ok() {
-            eprintln!(
-                "check failed: {} unexpected error(s), {} ground-truth mismatch(es)",
-                batch.unexpected_errors(),
-                batch.ground_truth_mismatches()
-            );
-            return Ok(ExitCode::from(2));
-        }
-        // Reuse contract — meaningful only when the incremental path is
-        // live (a disabled cache or step-bounded dataflow budget falls
-        // back to whole-design analysis by design).
-        let incremental = !no_cache && opts.analysis.budget.max_dataflow_steps.is_none();
-        if incremental {
-            // Cold caches recompute the base plus one process per edit;
-            // a warm persistent store can only lower that.  Every process
-            // of every revision must be accounted one way or the other.
-            let s = &telemetry.stats;
-            let total = ((edits + 1) * processes) as u64;
-            let max_recomputed = (processes + edits) as u64;
-            if s.units_recomputed > max_recomputed || s.units_reused + s.units_recomputed != total {
-                eprintln!(
-                    "check failed: reuse contract broken: recomputed {} units \
-                     (allowed at most {}), reused {}, expected {} total",
-                    s.units_recomputed, max_recomputed, s.units_reused, total
-                );
-                return Ok(ExitCode::from(2));
-            }
-        }
+    if check && !batch.check_ok() {
+        eprintln!(
+            "check failed: {} unexpected error(s), {} ground-truth mismatch(es)",
+            batch.unexpected_errors(),
+            batch.ground_truth_mismatches()
+        );
+        return Ok(ExitCode::from(2));
     }
     Ok(ExitCode::SUCCESS)
 }

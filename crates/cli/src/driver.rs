@@ -278,12 +278,10 @@ pub fn run_batch_on(engine: &Engine, jobs: &[Job], opts: &BatchOptions) -> Batch
 
 /// Replays an edit stream: every job is a successive revision of one
 /// design, analyzed **in input order** through a single
-/// [`vhdl1_infoflow::Workspace`] so each revision reuses the per-process
-/// artifacts of every process the edit left untouched (the
-/// `units_reused` / `units_recomputed` counters of the returned telemetry
-/// account for the reuse).  Report bytes are identical to [`run_batch`]
-/// over the same jobs — incremental assembly is an implementation detail,
-/// never an observable one.
+/// [`vhdl1_infoflow::Workspace`].  A revision seen before is a memo hit;
+/// the `units_reused` / `units_recomputed` counters of the returned
+/// telemetry count the processes of served and analyzed revisions.  Report
+/// bytes are identical to [`run_batch`] over the same jobs.
 pub fn run_edit_stream(jobs: &[Job], opts: &BatchOptions) -> (BatchReport, BatchTelemetry) {
     let start = Instant::now();
     let mut analysis = opts.analysis;
@@ -307,10 +305,10 @@ pub fn run_edit_stream(jobs: &[Job], opts: &BatchOptions) -> (BatchReport, Batch
     (batch, telemetry)
 }
 
-/// [`run_edit_stream`] on a caller-supplied engine — the daemon's
-/// `POST /update` seam.  Sequential by nature: revision `j+1`'s reuse is
-/// defined relative to revision `j`, so there is no pool and
-/// [`BatchOptions::jobs`] is ignored.
+/// [`run_edit_stream`] on a caller-supplied engine.  Sequential: the
+/// revisions are analyzed in input order, so there is no pool and
+/// [`BatchOptions::jobs`] is ignored, and neither is there a watchdog
+/// ([`BatchOptions::deadline_ms`] is ignored too).
 pub fn run_edit_stream_on(engine: &Engine, jobs: &[Job], opts: &BatchOptions) -> BatchReport {
     let start = Instant::now();
     let workspace = engine.workspace();
@@ -1084,6 +1082,28 @@ mod tests {
         assert!(batch.designs.is_empty());
         assert_eq!(batch.degraded.len(), jobs.len());
         assert!(batch.degraded.iter().all(|d| d.stage == "deadline"));
+        assert!(batch.check_ok(), "deadline degradation is not failure");
+    }
+
+    #[test]
+    fn short_deadline_bites_between_stages_on_hostile_designs() {
+        // The hostile family's ~200-process chains take far longer than
+        // 5 ms from Reaching Definitions to the flow graph.  The engine's
+        // gate runs after each stage's upstream stages, so the watchdog's
+        // cancel lands at the next stage boundary instead of after the
+        // whole pipeline.
+        let jobs = hostile_jobs(3, 12);
+        let opts = BatchOptions {
+            deadline_ms: Some(5),
+            jobs: 4,
+            ..BatchOptions::default()
+        };
+        let batch = run_batch(&jobs, &opts);
+        assert!(
+            batch.degraded.iter().any(|d| d.stage == "deadline"),
+            "{:?}",
+            batch.degraded
+        );
         assert!(batch.check_ok(), "deadline degradation is not failure");
     }
 

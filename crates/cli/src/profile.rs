@@ -329,7 +329,7 @@ pub fn render_stats(t: &BatchTelemetry) -> String {
     if s.units_reused + s.units_recomputed > 0 {
         let _ = writeln!(
             out,
-            "stats: incremental units: {} reused, {} recomputed",
+            "stats: workspace units: {} reused, {} recomputed",
             s.units_reused, s.units_recomputed
         );
     }

@@ -1,14 +1,11 @@
 //! Edit-stream generator: a base multi-process design plus a deterministic
 //! sequence of single-process mutations.
 //!
-//! The incremental re-analysis workload: every revision differs from its
-//! predecessor in exactly one process body (a binary operator swap), which
-//! preserves the design's label layout, signal table and process count — so
-//! the per-process content fingerprints of every *untouched* process are
-//! unchanged across the edit.  Replaying the stream through
-//! `vhdl1_infoflow::Workspace::update` must therefore recompute exactly one
-//! process per revision and reuse the rest, while producing reports
-//! byte-identical to analyzing each revision from scratch.
+//! The edit-session workload: every revision differs from its predecessor
+//! in exactly one process body (a binary operator swap), which preserves
+//! the design's label layout, signal table and process count.  Replaying
+//! the stream through `vhdl1_infoflow::Workspace::update` must produce
+//! reports byte-identical to analyzing each revision from scratch.
 //!
 //! The design shape is a mixing chain: process `p0` combines the first
 //! input with the shared key into `t0`, each middle process `pi` folds the
@@ -65,9 +62,8 @@ impl EditStream {
 /// and every revision elaborates through the real front end.
 ///
 /// Every edit moves the touched process to an operator it has never held
-/// in this stream, so on a cold engine each revision recomputes exactly
-/// one process and reuses the rest — no edit ever degenerates into a
-/// unit-cache or whole-design-cache hit.
+/// in this stream, so no revision repeats an earlier source: on a cold
+/// engine every revision is a memo-table miss.
 ///
 /// # Panics
 ///
@@ -108,10 +104,9 @@ pub fn edit_stream(seed: u64, processes: usize, edits: usize) -> EditStream {
         .collect();
     let base = render(&name, &ops);
     // Every edit gives the touched process an operator it has *never*
-    // held in this stream: operator toggles that revisit an earlier state
-    // would turn the touched process into a unit-cache hit (and a
-    // full-vector round trip into a whole-design hit), blurring the
-    // recompute-exactly-one-process contract the replay tests assert.
+    // held in this stream: a toggle back to an earlier operator vector
+    // would make a revision a whole-design memo hit, blurring the cold
+    // replay counters the tests assert.
     let mut used: Vec<std::collections::BTreeSet<usize>> =
         ops.iter().map(|&op| [op].into_iter().collect()).collect();
     let mut revisions = Vec::with_capacity(edits);
@@ -223,25 +218,6 @@ mod tests {
                 rev.touched_process
             );
             prev = rev.source.clone();
-        }
-    }
-
-    #[test]
-    fn untouched_processes_keep_their_fingerprints() {
-        let stream = edit_stream(5, 8, 3);
-        let mut prev = vhdl1_syntax::frontend(&stream.base).unwrap();
-        for rev in &stream.revisions {
-            let design = vhdl1_syntax::frontend(&rev.source).unwrap();
-            let before = vhdl1_syntax::unit_fingerprints(&prev);
-            let after = vhdl1_syntax::unit_fingerprints(&design);
-            for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-                if i == rev.touched_process {
-                    assert_ne!(b, a, "edited process {i} must re-fingerprint");
-                } else {
-                    assert_eq!(b, a, "untouched process {i} must keep its fingerprint");
-                }
-            }
-            prev = design;
         }
     }
 }

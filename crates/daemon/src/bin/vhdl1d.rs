@@ -29,8 +29,8 @@ OPTIONS:
 ENDPOINTS:
     POST /analyze   VHDL1 source or corpus manifest -> batch report JSON
     POST /verify    like /analyze plus dynamic flow witnessing (?rounds=&seed=)
-    POST /update    incremental re-analysis of one design (?id= routes revisions
-                    to the same warm engine so unchanged processes are reused)
+    POST /update    one revision of an edited design, named by the required ?id=;
+                    same bytes and ?deadline_ms= handling as /analyze?name=ID
     GET  /healthz   liveness probe
     GET  /metrics   Prometheus text exposition
     POST /shutdown  graceful drain (std cannot trap SIGTERM)

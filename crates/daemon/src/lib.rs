@@ -17,11 +17,11 @@
 //!   `smoke` (`1`/`true`), `deadline_ms` (per-request watchdog override).
 //! * `POST /verify` — same body, plus `rounds` and `seed` query parameters;
 //!   responses match `vhdl1c verify --format json`.
-//! * `POST /update` — incremental re-analysis: body is one revised VHDL1
-//!   source of the design named by the required `id` query parameter.
-//!   Successive updates of an id shard to the same engine and reuse the
-//!   per-process artifacts of untouched processes; the report JSON is
-//!   byte-identical to `POST /analyze` over the same source.
+//! * `POST /update` — one revision of an edited design: body is one VHDL1
+//!   source, and the required `id` query parameter names the job.  Served
+//!   like a single-source `POST /analyze?name=ID` (same engines, memo
+//!   entries and `deadline_ms` handling), so the bytes are the same; a
+//!   revision seen before is a memo hit.
 //! * `GET /healthz` — liveness probe, `200 ok`.
 //! * `GET /metrics` — Prometheus text exposition: per-stage counters merged
 //!   across all worker engines plus daemon request counters.
@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use vhdl1_cli::{run_batch_on, run_edit_stream_on, BatchOptions, Format, Job, VerifyOptions};
+use vhdl1_cli::{run_batch_on, BatchOptions, Format, Job, VerifyOptions};
 use vhdl1_corpus::parse_manifest;
 use vhdl1_infoflow::{
     fnv1a64, render_prometheus, AnalysisOptions, CachePolicy, Engine, EngineConfig, EngineStats,
@@ -322,48 +322,64 @@ fn dispatch(shared: &Shared, request: &Request) -> Response {
     }
 }
 
-/// `POST /update` — the incremental re-analysis seam: the body is one
-/// revised source of the design named by `?id=`, analyzed through the
-/// id-sharded engine's edit workspace.  Successive updates of the same id
-/// land on the same engine (sharding is by **id**, not content — each
-/// revision's content differs by design) and reuse the per-process
-/// artifacts of every process the edit left untouched; the response is the
-/// same schema-3 report JSON as `POST /analyze` over that source.
+/// `POST /update` — one revision of the design named by `?id=`: a single
+/// job named by the id, served exactly like `POST /analyze?name=ID` over a
+/// bare source (a manifest-looking body stays one source).
 fn update(shared: &Shared, request: &Request) -> Response {
-    let source = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Response::error(400, "Bad Request", "body is not UTF-8"),
+    let source = match body_source(request) {
+        Ok(source) => source,
+        Err(response) => return response,
     };
-    if source.trim().is_empty() {
-        return Response::error(400, "Bad Request", "empty body: send VHDL1 source text");
-    }
     let Some(id) = request.param("id") else {
         return Response::error(400, "Bad Request", "update needs an `id` query parameter");
     };
-    let shard = (fnv1a64(id.as_bytes()) % shared.engines.len() as u64) as usize;
-    let jobs = [Job::from_source(id, source)];
-    let opts = BatchOptions {
-        format: Format::Json,
-        ..BatchOptions::default()
-    };
-    let batch = run_edit_stream_on(&shared.engines[shard], &jobs, &opts);
-    Response::ok("application/json", batch.to_json().into_bytes())
+    serve(
+        shared,
+        request,
+        &[Job::from_source(id, source)],
+        false,
+        None,
+    )
 }
 
 /// `POST /analyze` and `POST /verify`: body → jobs → warm engine →
 /// schema-3 report JSON, byte-identical to the CLI.
 fn analyze(shared: &Shared, request: &Request, verify: Option<VerifyOptions>) -> Response {
-    let source = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Response::error(400, "Bad Request", "body is not UTF-8"),
+    let source = match body_source(request) {
+        Ok(source) => source,
+        Err(response) => return response,
     };
-    if source.trim().is_empty() {
-        return Response::error(400, "Bad Request", "empty body: send VHDL1 source text");
-    }
     let jobs = match jobs_from_body(source, request.param("name").unwrap_or("design")) {
         Ok(jobs) => jobs,
         Err(message) => return Response::error(400, "Bad Request", &message),
     };
+    serve(shared, request, &jobs, request.flag("smoke"), verify)
+}
+
+/// The request body as source text: UTF-8 and not blank.
+fn body_source(request: &Request) -> Result<&str, Response> {
+    let source = std::str::from_utf8(&request.body)
+        .map_err(|_| Response::error(400, "Bad Request", "body is not UTF-8"))?;
+    if source.trim().is_empty() {
+        return Err(Response::error(
+            400,
+            "Bad Request",
+            "empty body: send VHDL1 source text",
+        ));
+    }
+    Ok(source)
+}
+
+/// Runs `jobs` on the engine their first source shards to, under the
+/// request's `deadline_ms` (or the daemon default), and answers with the
+/// report JSON.
+fn serve(
+    shared: &Shared,
+    request: &Request,
+    jobs: &[Job],
+    smoke: bool,
+    verify: Option<VerifyOptions>,
+) -> Response {
     let deadline_ms = match parse_u64_param(request, "deadline_ms") {
         Ok(v) => v.or(shared.config.deadline_ms),
         Err(response) => return response,
@@ -374,12 +390,12 @@ fn analyze(shared: &Shared, request: &Request, verify: Option<VerifyOptions>) ->
     let opts = BatchOptions {
         jobs: shared.config.jobs,
         format: Format::Json,
-        smoke: request.flag("smoke"),
+        smoke,
         verify,
         deadline_ms,
         ..BatchOptions::default()
     };
-    let batch = run_batch_on(&shared.engines[shard], &jobs, &opts);
+    let batch = run_batch_on(&shared.engines[shard], jobs, &opts);
     Response::ok("application/json", batch.to_json().into_bytes())
 }
 
@@ -433,8 +449,6 @@ fn metrics(shared: &Shared) -> String {
         stats.store_hits += s.store_hits;
         stats.store_misses += s.store_misses;
         stats.store_writes += s.store_writes;
-        stats.units_reused += s.units_reused;
-        stats.units_recomputed += s.units_recomputed;
         if let Some(sink) = engine.trace_sink() {
             let shard = sink.snapshot();
             snapshot.spans.extend(shard.spans);

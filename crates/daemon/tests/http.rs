@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use vhdl1_cli::driver::{run_batch, BatchOptions, Job, VerifyOptions};
-use vhdl1_corpus::{generate, write_manifest, CorpusSpec};
+use vhdl1_corpus::{generate, write_manifest, CorpusSpec, Family};
 use vhdl1_daemon::{Server, ServerConfig};
 use vhdl1_infoflow::CachePolicy;
 
@@ -142,16 +142,16 @@ fn verify_endpoint_matches_cli_verify_bytes() {
 }
 
 #[test]
-fn update_endpoint_replays_an_edit_stream_incrementally() {
+fn update_endpoint_replays_an_edit_stream() {
     let stream = vhdl1_corpus::edit_stream(13, 6, 3);
     let (addr, handle) = spawn_daemon(ServerConfig {
         workers: 2,
         ..ServerConfig::default()
     });
 
-    // Successive revisions of one design id flow to the same warm engine;
-    // every response must still be byte-identical to a from-scratch
+    // Every response must be byte-identical to a from-scratch
     // `vhdl1c analyze --format json` over that revision.
+    let mut base_report = Vec::new();
     for src in stream.sources() {
         let expected = run_batch(
             &[Job::from_source(stream.name.clone(), src.to_string())],
@@ -168,25 +168,32 @@ fn update_endpoint_replays_an_edit_stream_incrementally() {
         assert_eq!(
             body,
             expected.as_bytes(),
-            "incremental update bytes must match a fresh analysis"
+            "update bytes must match a fresh analysis"
         );
+        if base_report.is_empty() {
+            base_report = body;
+        }
     }
 
-    // The engine actually reused the untouched processes: each revision
-    // after the first recomputes one process and reuses the other five.
+    // `/update?id=X` and `/analyze?name=X` answer the same bytes from the
+    // same memo entry: the base revision is not analyzed again.
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/analyze?name={}", stream.name),
+        stream.base.as_bytes(),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(body, base_report, "/analyze and /update bytes must agree");
     let (status, metrics) = http(addr, "GET", "/metrics", b"");
     assert_eq!(status, 200);
     let metrics = String::from_utf8(metrics).unwrap();
-    let reused: u64 = metrics
+    let hits: u64 = metrics
         .lines()
-        .find_map(|l| l.strip_prefix("vhdl1_units_reused_total "))
+        .find_map(|l| l.strip_prefix("vhdl1_engine_cache_hits_total "))
         .and_then(|v| v.parse().ok())
-        .expect("unit reuse counter exposed");
-    assert_eq!(
-        reused,
-        (stream.revisions.len() * (stream.processes - 1)) as u64,
-        "each edit must reuse every untouched process"
-    );
+        .expect("memo hit counter exposed");
+    assert_eq!(hits, 1, "the repeated base revision must be a memo hit");
 
     // Protocol errors: an update without a design id cannot be routed.
     let (status, _) = http(addr, "POST", "/update", stream.base.as_bytes());
@@ -194,6 +201,28 @@ fn update_endpoint_replays_an_edit_stream_incrementally() {
     let (status, _) = http(addr, "GET", "/update", b"");
     assert_eq!(status, 405);
 
+    shutdown(addr, handle);
+}
+
+#[test]
+fn update_honours_the_request_deadline() {
+    // The longest hostile fixpoint chain of seed 3 takes far longer than
+    // 5 ms to analyze: the watchdog cancels it, and the next stage
+    // boundary degrades the design instead of finishing the pipeline.
+    let slow = generate(&CorpusSpec::new(3, 12).with_families(vec![Family::Hostile]))
+        .into_iter()
+        .max_by_key(|d| d.source.matches("<=").count())
+        .expect("hostile corpus is not empty");
+    let (addr, handle) = spawn_daemon(ServerConfig::default());
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/update?id={}&deadline_ms=5", slow.name),
+        slow.source.as_bytes(),
+    );
+    assert_eq!(status, 200);
+    let body = String::from_utf8(body).unwrap();
+    assert!(body.contains("\"stage\": \"deadline\""), "{body}");
     shutdown(addr, handle);
 }
 

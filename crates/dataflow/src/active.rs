@@ -9,7 +9,7 @@
 //! * a `wait` statement synchronises all active values and therefore kills
 //!   every pending assignment of the process.
 
-use crate::cfg::{DesignCfg, ProcessCfg};
+use crate::cfg::DesignCfg;
 use crate::framework::{Combine, DenseEquations, Solution, SolveExhausted};
 use crate::RdOptions;
 use serde::{Deserialize, Serialize};
@@ -41,19 +41,6 @@ impl ActiveRd {
     /// (`fst(RD∩ϕentry(l))`).
     pub fn must_be_active_at(&self, l: Label) -> BTreeSet<Ident> {
         self.under.entry_iter(l).map(|(s, _)| s.clone()).collect()
-    }
-
-    /// Concatenates per-process results (in process order) into a
-    /// whole-design result.  Labels are globally unique, so the parts are
-    /// disjoint; because [`active_signals_rd`] couples nothing across
-    /// processes, the concatenation equals the whole-design analysis.
-    pub fn concat(parts: impl IntoIterator<Item = ActiveRd>) -> ActiveRd {
-        let (overs, unders): (Vec<_>, Vec<_>) =
-            parts.into_iter().map(|a| (a.over, a.under)).unzip();
-        ActiveRd {
-            over: Solution::concat(overs),
-            under: Solution::concat(unders),
-        }
     }
 }
 
@@ -87,23 +74,6 @@ pub fn active_signals_rd_bounded(
         Solution::empty_for(cfg.labels())
     };
     Ok(ActiveRd { over, under })
-}
-
-/// Runs the active-signal analysis on a **single** process — the per-unit
-/// entry point the incremental engine caches results of.
-/// The dataflow equations couple nothing across processes, so this is exactly
-/// the restriction of the whole-design solution to this process's labels,
-/// and [`ActiveRd::concat`] over every process reproduces
-/// [`active_signals_rd`].
-pub fn active_signals_rd_process(
-    design: &Design,
-    pcfg: &ProcessCfg,
-    options: &RdOptions,
-) -> ActiveRd {
-    let cfg = DesignCfg {
-        processes: vec![pcfg.clone()],
-    };
-    active_signals_rd(design, &cfg, options)
 }
 
 fn build_equations(
@@ -308,36 +278,5 @@ mod tests {
         // Process 2's wait (label 4) sees only its own assignment to b.
         assert_eq!(rd.may_be_active_at(4), BTreeSet::from(["b".to_string()]));
         assert_eq!(rd.may_be_active_at(2), BTreeSet::from(["t".to_string()]));
-    }
-
-    #[test]
-    fn per_process_concat_equals_whole_design_analysis() {
-        let src = "entity e is port(a : in std_logic; b : out std_logic); end e;
-             architecture rtl of e is
-               signal t : std_logic;
-             begin
-               p1 : process begin t <= a; if a = '1' then t <= a; else null; end if;
-                 wait on a; end process p1;
-               p2 : process begin b <= t; wait on t; end process p2;
-               p3 : process begin b <= a; b <= t; wait on a, t; end process p3;
-             end rtl;";
-        let d = frontend(src).unwrap();
-        let cfg = DesignCfg::build(&d);
-        for options in [
-            RdOptions::default(),
-            RdOptions {
-                use_under_approximation: false,
-                ..RdOptions::default()
-            },
-        ] {
-            let whole = active_signals_rd(&d, &cfg, &options);
-            let merged = ActiveRd::concat(
-                cfg.processes
-                    .iter()
-                    .map(|p| active_signals_rd_process(&d, p, &options)),
-            );
-            assert_eq!(whole.over, merged.over);
-            assert_eq!(whole.under, merged.under);
-        }
     }
 }

@@ -186,41 +186,30 @@ pub struct DesignCfg {
     pub processes: Vec<ProcessCfg>,
 }
 
-impl ProcessCfg {
-    /// Builds the CFG of a single process — the per-unit constructor the
-    /// incremental engine rebuilds touched processes with.  [`DesignCfg::build`]
-    /// is exactly this, mapped over every process.
-    pub fn build(p: &vhdl1_syntax::ElabProcess) -> ProcessCfg {
-        let mut blocks = BTreeMap::new();
-        collect_blocks(&p.body, p.index, &mut blocks);
-        let init = init_label(&p.body);
-        let finals = final_labels(&p.body);
-        let mut flow = BTreeSet::new();
-        flow_edges(&p.body, &mut flow);
-        let loop_back = finals.iter().map(|f| (*f, init)).collect();
-        ProcessCfg {
-            process: p.index,
-            init,
-            finals,
-            blocks,
-            flow,
-            loop_back,
-        }
-    }
-}
-
 impl DesignCfg {
     /// Builds the CFGs of every process of `design`.
     pub fn build(design: &Design) -> DesignCfg {
-        let processes = design.processes.iter().map(ProcessCfg::build).collect();
-        DesignCfg { processes }
-    }
-
-    /// Assembles a design CFG from per-process CFGs (an incremental engine's
-    /// mix of cached and rebuilt units).  The caller supplies them in
-    /// process order; the result is indistinguishable from
-    /// [`DesignCfg::build`] on the corresponding design.
-    pub fn from_processes(processes: Vec<ProcessCfg>) -> DesignCfg {
+        let processes = design
+            .processes
+            .iter()
+            .map(|p| {
+                let mut blocks = BTreeMap::new();
+                collect_blocks(&p.body, p.index, &mut blocks);
+                let init = init_label(&p.body);
+                let finals = final_labels(&p.body);
+                let mut flow = BTreeSet::new();
+                flow_edges(&p.body, &mut flow);
+                let loop_back = finals.iter().map(|f| (*f, init)).collect();
+                ProcessCfg {
+                    process: p.index,
+                    init,
+                    finals,
+                    blocks,
+                    flow,
+                    loop_back,
+                }
+            })
+            .collect();
         DesignCfg { processes }
     }
 

@@ -498,63 +498,6 @@ impl<F: Ord + Clone> Solution<F> {
             .map(|id| self.facts[id as usize].clone())
             .collect()
     }
-
-    /// Builds a solution directly from per-label entry/exit sets — the
-    /// canonical constructor incremental callers rehydrate cached rows with.
-    /// The fact universe is the union of every set, interned in sorted
-    /// order, so two calls with equal rows produce structurally equal
-    /// solutions regardless of where the rows came from.
-    pub fn from_rows(rows: Vec<(Label, BTreeSet<F>, BTreeSet<F>)>) -> Solution<F> {
-        let mut universe: BTreeSet<F> = BTreeSet::new();
-        for (_, en, ex) in &rows {
-            universe.extend(en.iter().cloned());
-            universe.extend(ex.iter().cloned());
-        }
-        let facts: Vec<F> = universe.into_iter().collect();
-        let n = rows.len();
-        let words = words_for(facts.len());
-        let mut entry = BitMatrix::zeroed(n, words);
-        let mut exit = BitMatrix::zeroed(n, words);
-        let mut labels = Vec::with_capacity(n);
-        let mut index = HashMap::with_capacity(n);
-        for (r, (l, en, ex)) in rows.iter().enumerate() {
-            labels.push(*l);
-            index.insert(*l, r);
-            for f in en {
-                let id = facts.binary_search(f).expect("fact is in the universe");
-                entry.set(r, id as u32);
-            }
-            for f in ex {
-                let id = facts.binary_search(f).expect("fact is in the universe");
-                exit.set(r, id as u32);
-            }
-        }
-        Solution {
-            labels,
-            index,
-            facts,
-            entry,
-            exit,
-            entry_sets: (0..n).map(|_| OnceLock::new()).collect(),
-            exit_sets: (0..n).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// Concatenates solutions over **disjoint** label sets into one (labels
-    /// are globally unique across a design's processes, so per-process
-    /// solutions concatenate losslessly).  When the underlying equation
-    /// systems couple nothing across parts — as the per-process analyses
-    /// here do — the result equals the solution of the combined system.
-    pub fn concat(parts: impl IntoIterator<Item = Solution<F>>) -> Solution<F> {
-        let mut rows = Vec::new();
-        for part in parts {
-            for i in 0..part.labels.len() {
-                let l = part.labels[i];
-                rows.push((l, part.entry_of(l), part.exit_of(l)));
-            }
-        }
-        Solution::from_rows(rows)
-    }
 }
 
 impl<F: Ord + Clone> PartialEq for Solution<F> {

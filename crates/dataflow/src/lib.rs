@@ -36,9 +36,7 @@ pub mod present;
 #[cfg(any(test, feature = "setref"))]
 pub mod setref;
 
-pub use active::{
-    active_signals_rd, active_signals_rd_bounded, active_signals_rd_process, ActiveRd, SigDef,
-};
+pub use active::{active_signals_rd, active_signals_rd_bounded, ActiveRd, SigDef};
 pub use cfg::{BasicBlock, BlockKind, DesignCfg, ProcessCfg};
 pub use crossflow::{CrossFlow, SyncSummary};
 pub use dense::FactInterner;

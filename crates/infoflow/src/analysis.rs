@@ -1,13 +1,10 @@
 //! The eager one-shot entry points and their owned [`AnalysisResult`].
 //!
-//! These are compatibility façades over the session API: the design-based
-//! wrappers ([`analyze`], [`analyze_with`], [`analyze_all`]) drive a
-//! throwaway [`crate::Engine`] session, and the source-based
-//! [`analyze_source`] drives an edit session ([`crate::Workspace`]) of one
-//! update; each runs a lazy [`crate::Analysis`] to completion and
-//! materialises an owned result.  Callers that query more than once,
-//! analyse more than one design, or do not need every stage should hold an
-//! [`crate::Engine`] (or a [`crate::Workspace`] over it) instead.
+//! These are compatibility façades over the session API: each drives a
+//! throwaway [`crate::Engine`] session, runs a lazy [`crate::Analysis`] to
+//! completion and materialises an owned result.  Callers that query more
+//! than once, analyse more than one design, or do not need every stage
+//! should hold an [`crate::Engine`] instead.
 
 use crate::budget::Budget;
 use crate::closure::SpecializedRd;
@@ -284,9 +281,8 @@ pub fn analyze_with(design: &Design, options: &AnalysisOptions) -> AnalysisResul
 /// per-design entry point of batch drivers (`vhdl1c analyze`), where inputs
 /// arrive as text rather than elaborated designs.
 ///
-/// Internally this is a one-update edit session: it drives
-/// [`crate::Workspace::update`] on a throwaway [`Engine`], so it shares the
-/// session API's cache-probe and per-unit bookkeeping paths.
+/// Internally this is [`Engine::analyze_source`] on a throwaway
+/// [`Engine`].
 ///
 /// # Panics
 ///
@@ -318,7 +314,7 @@ pub fn analyze_source(
     options: &AnalysisOptions,
 ) -> Result<AnalysisResult, vhdl1_syntax::SyntaxError> {
     let engine = Engine::with_options(*options);
-    let analysis = match engine.workspace().update(src) {
+    let analysis = match engine.analyze_source(src) {
         Ok(analysis) => analysis,
         Err(EngineError::Frontend { source, .. }) => return Err(source),
         Err(err) => panic!("analysis budget exhausted: {err}"),

@@ -29,12 +29,12 @@
 //! Every stage accessor honours the [`crate::Budget`] carried by the
 //! engine's [`AnalysisOptions`].  Limits are **cooperative**: stages check
 //! their own counters at iteration boundaries, and the wall-clock deadline
-//! plus the optional [`CancelFlag`] are checked at stage boundaries (before
-//! a not-yet-computed stage starts).  Deterministic counter exhaustion is
-//! memoized like any other stage result — so a given source and budget
-//! truncate at the same point on every run — while deadline/cancel
-//! exhaustion is *never* memoized (it depends on wall-clock time, not the
-//! input).
+//! plus the optional [`CancelFlag`] are checked at stage boundaries (after
+//! a not-yet-computed stage's upstream stages, right before it starts).
+//! Deterministic counter exhaustion is memoized like any other stage
+//! result — so a given source and budget truncate at the same point on
+//! every run — while deadline/cancel exhaustion is *never* memoized (it
+//! depends on wall-clock time, not the input).
 //!
 //! The eager one-shot functions ([`crate::analyze`], [`crate::analyze_with`],
 //! [`crate::analyze_source`], [`crate::analyze_all`]) are thin compatibility
@@ -56,10 +56,10 @@ use crate::dynflow::{cross_check, DynFlowReport};
 use crate::graph::{FlowGraph, GraphLabels};
 use crate::improved::{improved_closure_bounded, ImprovedClosure};
 use crate::kemmerer::kemmerer_graph_from_matrix;
-use crate::local::{local_dependencies, local_dependencies_process};
+use crate::local::local_dependencies;
 use crate::policy::{audit, AuditReport, Policy};
 use crate::rm::ResourceMatrix;
-use crate::store::{Artifact, ArtifactStore, DesignSummary, UnitArtifact};
+use crate::store::{Artifact, ArtifactStore, DesignSummary};
 use crate::trace::{SpanTimer, TraceSink};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -67,16 +67,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use vhdl1_dataflow::{
-    active_signals_rd_process, present_rd, ActiveRd, CrossFlow, DesignCfg, ProcessCfg,
-    ReachingDefinitions,
-};
+use vhdl1_dataflow::ReachingDefinitions;
 use vhdl1_dynflow::DynFlowOptions;
 use vhdl1_sim::{SimError, SimOptions, Simulator};
-use vhdl1_syntax::{
-    design_context_text, unit_canonical_text, unit_fingerprints, Design, FrontendLimits, Pos,
-    SyntaxError, SyntaxErrorKind,
-};
+use vhdl1_syntax::{Design, FrontendLimits, Pos, SyntaxError, SyntaxErrorKind};
 
 /// 64-bit FNV-1a content hash — the engine's cache key over source bytes.
 ///
@@ -443,13 +437,11 @@ pub struct EngineStats {
     pub store_misses: u64,
     /// Artifacts written back to the store.
     pub store_writes: u64,
-    /// Per-process units served from cache by [`Workspace::update`] —
-    /// processes whose fingerprint was unchanged (or whose whole design
-    /// hit), so their per-process RD rows and local Resource Matrix were
-    /// reused instead of recomputed.
+    /// Processes of the revisions [`Workspace::update`] served from the
+    /// memo table or the artifact store.
     pub units_reused: u64,
-    /// Per-process units recomputed by [`Workspace::update`] — processes
-    /// whose fingerprint changed (or was never seen).
+    /// Processes of the revisions [`Workspace::update`] analysed from
+    /// source.
     pub units_recomputed: u64,
 }
 
@@ -616,33 +608,6 @@ struct Cache {
     order: VecDeque<u64>,
 }
 
-/// One cached per-process analysis unit ([`Workspace::update`]): the
-/// process's control-flow graph, its active-signal RD solutions and its
-/// local Resource Matrix, keyed by
-/// `unit_fingerprint ⊕ rotl17(options_fingerprint)`.
-struct UnitState {
-    /// Canonical design-context text — verified on every hit, so a
-    /// fingerprint collision degrades to a recompute instead of assembling
-    /// the wrong process's rows.
-    context: String,
-    /// Canonical labelled process text, verified likewise.
-    unit: String,
-    cfg: ProcessCfg,
-    active: ActiveRd,
-    local: ResourceMatrix,
-}
-
-/// How many per-process units each memoized-design slot is worth in the
-/// unit cache: a design cap of `n` keeps up to `64 n` units.
-const UNITS_PER_DESIGN_CAP: usize = 64;
-
-#[derive(Default)]
-struct UnitCache {
-    map: HashMap<u64, Arc<UnitState>>,
-    /// Insertion order, for FIFO eviction under a capped policy.
-    order: VecDeque<u64>,
-}
-
 /// A long-lived analysis session: shared options, the content-hash memo
 /// table, and the stage-computation counters.
 ///
@@ -666,10 +631,6 @@ struct UnitCache {
 pub struct Engine {
     config: EngineConfig,
     cache: Mutex<Cache>,
-    /// Per-process unit cache of [`Workspace::update`], keyed by unit
-    /// fingerprint (so it survives whole-design cache misses: an edited
-    /// design misses the memo table but reuses every untouched process).
-    units: Mutex<UnitCache>,
     counters: Counters,
     /// Disk-backed artifact store, present only under
     /// [`CachePolicy::Persistent`].  `None` also when the directory could
@@ -715,7 +676,6 @@ impl Engine {
             store,
             config,
             cache: Mutex::new(Cache::default()),
-            units: Mutex::new(UnitCache::default()),
             counters: Counters::default(),
         }
     }
@@ -860,26 +820,36 @@ impl Engine {
     /// parse or elaborate, or exceeds the budget's source-size or
     /// parse-depth limit.
     pub fn analyze_source(&self, src: &str) -> Result<Analysis<'_>, EngineError> {
+        self.resolve(src).map(|(analysis, _)| analysis)
+    }
+
+    /// [`Engine::analyze_source`], also telling whether the memo table or
+    /// the artifact store served the source (`false` when the front end
+    /// ran).
+    fn resolve(&self, src: &str) -> Result<(Analysis<'_>, bool), EngineError> {
         if self.config.cache == CachePolicy::Disabled {
             self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(self.owned_analysis(self.run_frontend(src)?));
+            return Ok((self.owned_analysis(self.run_frontend(src)?), false));
         }
         let key = self.source_key(src);
         if let Some(analysis) = self.lookup(key) {
-            return Ok(analysis);
+            return Ok((analysis, true));
         }
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = match self.probe_store(key, src) {
-            Some(artifact) => Memo::from_artifact(artifact),
+        let (fresh, served) = match self.probe_store(key, src) {
+            Some(artifact) => (Memo::from_artifact(artifact), true),
             // Full miss: run the front end outside the lock (parsing can be
             // slow), then publish.
-            None => Memo::computed(
-                self.run_frontend(src)?,
-                self.store.as_ref().map(|_| key),
-                self.store.as_ref().map(|_| src.into()),
+            None => (
+                Memo::computed(
+                    self.run_frontend(src)?,
+                    self.store.as_ref().map(|_| key),
+                    self.store.as_ref().map(|_| src.into()),
+                ),
+                false,
             ),
         };
-        Ok(self.shared(self.publish(key, fresh)))
+        Ok((self.shared(self.publish(key, fresh)), served))
     }
 
     /// The memory-probe half of [`Engine::analyze_source`]: a memo-table
@@ -1033,9 +1003,8 @@ impl Engine {
     }
 
     /// Opens an edit session over this engine: a [`Workspace`] whose
-    /// [`update`](Workspace::update) re-analyses successive revisions of a
-    /// design incrementally, reusing the per-process stages of every
-    /// process whose content fingerprint is unchanged.
+    /// [`update`](Workspace::update) analyses successive revisions of a
+    /// design, each as a whole, through the engine's memo table.
     ///
     /// # Examples
     ///
@@ -1050,88 +1019,32 @@ impl Engine {
     ///        p2 : process begin null; wait on a; end process p2;
     ///      end rtl;";
     /// ws.update(v1)?.flow_graph()?;
-    /// // Edit only p2: p1's per-process stages are reused.
     /// let v2 = v1.replace("null;", "b <= a and a;");
     /// ws.update(&v2)?.flow_graph()?;
-    /// assert_eq!(engine.stats().units_recomputed, 3); // 2 cold + 1 edited
-    /// assert_eq!(engine.stats().units_reused, 1);     // p1 on the update
+    /// // Going back to v1 is a memo hit: nothing is recomputed.
+    /// ws.update(v1)?.flow_graph()?;
+    /// assert_eq!(engine.stats().units_recomputed, 4); // v1 and v2, 2 each
+    /// assert_eq!(engine.stats().units_reused, 2);     // v1 again
+    /// assert_eq!(engine.stats().flow_graph, 2);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn workspace(&self) -> Workspace<'_> {
         Workspace { engine: self }
     }
-
-    /// Probes the per-process unit cache (memory, then the persistent
-    /// store), verifying the canonical texts so a fingerprint collision is
-    /// a recompute, never a wrong hit.  Store rehydration rebuilds the
-    /// control-flow graph from the freshly elaborated design (cheap and
-    /// linear) and the solved rows from the artifact.
-    fn unit_lookup(
-        &self,
-        key: u64,
-        design: &Design,
-        pidx: usize,
-        context: &str,
-        unit: &str,
-    ) -> Option<Arc<UnitState>> {
-        {
-            let units = self.units.lock().expect("unit cache poisoned");
-            if let Some(state) = units.map.get(&key) {
-                if state.context == context && state.unit == unit {
-                    return Some(Arc::clone(state));
-                }
-            }
-        }
-        let stored = self.store.as_ref()?.load_unit(key)?;
-        if stored.context != context || stored.unit != unit {
-            return None;
-        }
-        let state = UnitState {
-            cfg: ProcessCfg::build(&design.processes[pidx]),
-            active: stored.active(),
-            local: stored.local_matrix(),
-            context: stored.context,
-            unit: stored.unit,
-        };
-        Some(self.unit_publish(key, state))
-    }
-
-    /// Publishes a unit into the memory cache, FIFO-capped at
-    /// [`UNITS_PER_DESIGN_CAP`] units per design slot of a capped policy.
-    fn unit_publish(&self, key: u64, state: UnitState) -> Arc<UnitState> {
-        let state = Arc::new(state);
-        let mut units = self.units.lock().expect("unit cache poisoned");
-        if units.map.insert(key, Arc::clone(&state)).is_none() {
-            units.order.push_back(key);
-        }
-        if let Some(cap) = self.config.cache.memory_cap() {
-            let cap = cap.max(1).saturating_mul(UNITS_PER_DESIGN_CAP);
-            while units.map.len() > cap {
-                match units.order.pop_front() {
-                    Some(old) if old != key => {
-                        units.map.remove(&old);
-                    }
-                    Some(_) => units.order.push_back(key),
-                    None => break,
-                }
-            }
-        }
-        state
-    }
 }
 
 /// An edit session over an [`Engine`]: feed successive revisions of a
 /// design to [`Workspace::update`] and get a full [`Analysis`] back for
-/// each, paying only for what the edit touched.
+/// each.
 ///
-/// The engine elaborates each revision, fingerprints every process against
-/// its design context ([`vhdl1_syntax::unit_fingerprint`]) and reuses the
-/// per-process stages — control-flow graph, active-signal Reaching
-/// Definitions rows, local Resource Matrix — of every unit whose
-/// fingerprint is unchanged, recomputing only touched processes plus the
-/// cross-process global stages (cross-flow, present-value RD, closures).
-/// [`EngineStats::units_reused`] / [`EngineStats::units_recomputed`] report
-/// the split per session.
+/// Every revision is analysed as a whole.  The paper's analysis is global:
+/// the present-value Reaching Definitions (Table 5) and the closures
+/// (Tables 7–9) couple every process through the synchronisation relation,
+/// so per-process reuse could skip only the process-local Tables 4 and 6,
+/// which are too cheap to pay for it.  A revision seen before (in memory or
+/// in the persistent store) is a memo hit and costs a hash lookup.
+/// [`EngineStats::units_reused`] / [`EngineStats::units_recomputed`] count
+/// the processes of served and analysed revisions.
 ///
 /// The handle is stateless (all state lives in the engine), so a daemon
 /// can open one per request over a shared engine; reports produced through
@@ -1148,128 +1061,26 @@ impl<'e> Workspace<'e> {
         self.engine
     }
 
-    /// Re-analyses a revision of the design, reusing every per-process
-    /// unit whose content fingerprint is unchanged since any earlier
-    /// [`update`](Workspace::update) (or persisted unit artifact).
-    ///
-    /// Falls back to the plain [`Engine::analyze_source`] path — no unit
-    /// accounting — when the cache policy is
-    /// [`Disabled`](CachePolicy::Disabled) (nothing could be reused) or a
-    /// dataflow step budget is set (per-unit solves would move the
-    /// deterministic truncation point).  A whole-design cache or store hit
-    /// counts every process as reused.
+    /// Analyses a revision of the design: [`Engine::analyze_source`] plus
+    /// the unit counters.  The revision's process count is added to
+    /// [`EngineStats::units_reused`] when the memo table or the artifact
+    /// store served it, and to [`EngineStats::units_recomputed`]
+    /// otherwise.
     ///
     /// # Errors
     ///
     /// Returns a structured [`EngineError`] when the revision does not
     /// lex, parse or elaborate, or exceeds the front-end budget.
     pub fn update(&self, src: &str) -> Result<Analysis<'e>, EngineError> {
-        let engine = self.engine;
-        if engine.config.cache == CachePolicy::Disabled
-            || engine.config.options.budget.max_dataflow_steps.is_some()
-        {
-            return engine.analyze_source(src);
-        }
-        let key = engine.source_key(src);
-        if let Some(analysis) = engine.lookup(key) {
-            let reused = analysis.summary().processes as u64;
-            engine
-                .counters
-                .units_reused
-                .fetch_add(reused, Ordering::Relaxed);
-            return Ok(analysis);
-        }
-        engine.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(artifact) = engine.probe_store(key, src) {
-            let analysis = engine.shared(engine.publish(key, Memo::from_artifact(artifact)));
-            let reused = analysis.summary().processes as u64;
-            engine
-                .counters
-                .units_reused
-                .fetch_add(reused, Ordering::Relaxed);
-            return Ok(analysis);
-        }
-        let design = engine.run_frontend(src)?;
-
-        // Per-unit probe: reuse or recompute each process's stages.
-        let context = design_context_text(&design);
-        let fingerprints = unit_fingerprints(&design);
-        let options_rot = options_fingerprint(&engine.config.options).rotate_left(17);
-        let mut states = Vec::with_capacity(design.processes.len());
-        for (pidx, fingerprint) in fingerprints.iter().enumerate() {
-            let unit_key = fingerprint ^ options_rot;
-            let unit = unit_canonical_text(&design, pidx);
-            if let Some(state) = engine.unit_lookup(unit_key, &design, pidx, &context, &unit) {
-                engine.counters.units_reused.fetch_add(1, Ordering::Relaxed);
-                states.push(state);
-                continue;
-            }
-            engine
-                .counters
-                .units_recomputed
-                .fetch_add(1, Ordering::Relaxed);
-            let cfg = ProcessCfg::build(&design.processes[pidx]);
-            let active = active_signals_rd_process(&design, &cfg, &engine.config.options.rd);
-            let local = local_dependencies_process(&design, pidx);
-            if let Some(store) = &engine.store {
-                let _ = store.save_unit(&UnitArtifact::of(
-                    unit_key, &context, &unit, &active, &local,
-                ));
-            }
-            states.push(engine.unit_publish(
-                unit_key,
-                UnitState {
-                    context: context.clone(),
-                    unit,
-                    cfg,
-                    active,
-                    local,
-                },
-            ));
-        }
-
-        // Global assembly: per-unit artifacts concatenate exactly (labels
-        // are globally unique and the per-process analyses couple nothing
-        // across processes); only the cross-process stages — cross-flow and
-        // the present-value RD — recompute from scratch.
-        engine.counters.rd.fetch_add(1, Ordering::Relaxed);
-        let span = engine.trace_begin("rd");
-        let rd_options = engine.config.options.rd;
-        let cfg = DesignCfg::from_processes(states.iter().map(|s| s.cfg.clone()).collect());
-        let cross = CrossFlow::build(&design);
-        let active = ActiveRd::concat(states.iter().map(|s| s.active.clone()));
-        let present = present_rd(&design, &cfg, &cross, &active, &rd_options);
-        if span.is_some() {
-            let labels = cfg.labels().len() as u64;
-            engine.trace_end(span, &design.name, labels, labels);
-        }
-        let rd = ReachingDefinitions {
-            options: rd_options,
-            cfg,
-            cross,
-            active,
-            present,
+        let (analysis, served) = self.engine.resolve(src)?;
+        let counters = &self.engine.counters;
+        let units = if served {
+            &counters.units_reused
+        } else {
+            &counters.units_recomputed
         };
-
-        engine.counters.local.fetch_add(1, Ordering::Relaxed);
-        let span = engine.trace_begin("local");
-        let mut local = ResourceMatrix::new();
-        for state in &states {
-            local.extend_from(&state.local);
-        }
-        if span.is_some() {
-            let entries = local.len() as u64;
-            engine.trace_end(span, &design.name, entries, entries);
-        }
-
-        let memo = Memo::computed(
-            design,
-            engine.store.as_ref().map(|_| key),
-            engine.store.as_ref().map(|_| src.into()),
-        );
-        let _ = memo.slots.rd.set(Ok(rd));
-        let _ = memo.slots.local.set(local);
-        Ok(engine.shared(engine.publish(key, memo)))
+        units.fetch_add(analysis.summary().processes as u64, Ordering::Relaxed);
+        Ok(analysis)
     }
 }
 
@@ -1382,7 +1193,9 @@ impl<'e> Analysis<'e> {
     }
 
     /// The deadline/cancellation gate, checked before any not-yet-memoized
-    /// stage starts.  Never memoized: it depends on wall-clock time.
+    /// stage starts — after its upstream stages, so a long pipeline is
+    /// checked between every two stages.  Never memoized: it depends on
+    /// wall-clock time.
     fn check_alive(&self) -> Result<(), EngineError> {
         let elapsed = u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX);
         if self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled) {
@@ -1561,8 +1374,8 @@ impl<'e> Analysis<'e> {
     /// Propagates the upstream [`Analysis::rd`] failure.
     pub fn specialized(&self) -> Result<&SpecializedRd, EngineError> {
         if self.slots().specialized.get().is_none() {
-            self.check_alive()?;
             self.rd()?;
+            self.check_alive()?;
         } else {
             self.trace_hit("specialized");
         }
@@ -1592,8 +1405,8 @@ impl<'e> Analysis<'e> {
     /// upstream failures.
     pub fn global(&self) -> Result<&ResourceMatrix, EngineError> {
         if self.slots().global.get().is_none() {
-            self.check_alive()?;
             self.specialized()?;
+            self.check_alive()?;
         } else {
             self.trace_hit("global");
         }
@@ -1640,10 +1453,10 @@ impl<'e> Analysis<'e> {
     /// propagates upstream failures.
     pub fn improved(&self) -> Result<Option<&ImprovedClosure>, EngineError> {
         if self.slots().improved.get().is_none() {
-            self.check_alive()?;
             if self.options().improved {
                 self.specialized()?;
             }
+            self.check_alive()?;
         } else if self.options().improved {
             self.trace_hit("improved");
         }
@@ -1724,10 +1537,10 @@ impl<'e> Analysis<'e> {
     pub fn flow_graph(&self) -> Result<&FlowGraph, EngineError> {
         let fresh = self.slots().graph.get().is_none();
         if fresh {
-            self.check_alive()?;
             if self.improved()?.is_none() {
                 self.global()?;
             }
+            self.check_alive()?;
         } else {
             self.trace_hit("flow_graph");
         }
@@ -1783,8 +1596,8 @@ impl<'e> Analysis<'e> {
     pub fn base_flow_graph(&self) -> Result<&FlowGraph, EngineError> {
         let fresh = self.slots().base_graph.get().is_none();
         if fresh {
-            self.check_alive()?;
             self.global()?;
+            self.check_alive()?;
         } else {
             self.trace_hit("flow_graph");
         }
@@ -2036,9 +1849,9 @@ impl<'e> Analysis<'e> {
         };
         let fresh = cell.get().is_none();
         if fresh {
-            self.check_alive()?;
             self.merged_flow_graph()?;
             self.kemmerer_graph()?;
+            self.check_alive()?;
         } else {
             self.trace_hit("dynamic_flows");
         }

@@ -83,6 +83,13 @@ pub fn improved_closure_bounded(
     // value obtained at a synchronisation point may have been driven by the
     // environment process π — only the `in` ports of the entity are driven
     // by π.
+    //
+    // On an elaborated design [Incoming values] adds nothing of its own: no
+    // process may assign an `in` port, so Table 5 never gives one a
+    // wait-label definition, and [Initial values] already seeds the port's
+    // `n◦` from its `?` definition.  The rule stays because it is the
+    // paper's and `encode_improved` mirrors it; `engine_differential.rs`
+    // asserts the premise on every corpus design.
     for (&l, defs) in &spec.present {
         for (n, def) in defs {
             let incoming = match def {

@@ -25,9 +25,8 @@
 //! long-lived [`Engine`] session hands out lazy, memoized [`Analysis`]
 //! handles whose stage queries compute on first demand and return borrowed
 //! artifacts.  [`Engine::workspace`] opens an edit session ([`Workspace`])
-//! that re-analyses successive revisions incrementally, reusing the
-//! per-process stages of every process whose content fingerprint is
-//! unchanged.  The eager [`analyze`]/[`analyze_with`] one-shots remain as
+//! that analyses successive revisions of a design through the engine's
+//! memo table.  The eager [`analyze`]/[`analyze_with`] one-shots remain as
 //! compatibility wrappers materialising an owned [`AnalysisResult`].
 //!
 //! ```
@@ -79,8 +78,8 @@ pub use engine::{
 pub use graph::{FlowGraph, GraphLabels};
 pub use improved::{improved_closure, improved_closure_bounded, ImprovedClosure, ImprovedOptions};
 pub use kemmerer::{kemmerer_graph, kemmerer_graph_from_matrix};
-pub use local::{local_dependencies, local_dependencies_process};
+pub use local::local_dependencies;
 pub use policy::{audit, AuditReport, Policy, Violation};
 pub use rm::{Access, Node, ResourceMatrix, RmEntry};
-pub use store::{Artifact, ArtifactStore, DesignSummary, UnitArtifact, ARTIFACT_VERSION};
+pub use store::{Artifact, ArtifactStore, DesignSummary, ARTIFACT_VERSION};
 pub use trace::{render_prometheus, SpanRecord, StageAgg, TraceEvent, TraceSink, TraceSnapshot};

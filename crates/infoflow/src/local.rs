@@ -14,20 +14,6 @@ use vhdl1_syntax::{Design, Expr, Ident, Stmt};
 pub fn local_dependencies(design: &Design) -> ResourceMatrix {
     let mut rm = ResourceMatrix::new();
     for process in &design.processes {
-        rm.extend_from(&local_dependencies_process(design, process.index));
-    }
-    rm
-}
-
-/// Computes the single-process contribution `RM_i` where `∅ ⊢ ss_i : RM_i`
-/// — the unit the incremental engine caches per process.  Labels are
-/// globally unique, so merging these with [`ResourceMatrix::extend_from`]
-/// in any order reproduces [`local_dependencies`] exactly.
-///
-/// An out-of-range `pidx` yields an empty matrix.
-pub fn local_dependencies_process(design: &Design, pidx: usize) -> ResourceMatrix {
-    let mut rm = ResourceMatrix::new();
-    if let Some(process) = design.processes.get(pidx) {
         let fs_body = design.process_free_signals(process.index);
         analyse_stmt(
             design,

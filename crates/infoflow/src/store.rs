@@ -43,13 +43,12 @@
 use crate::dynflow::{DynFlowReport, NoFlowProperty};
 use crate::engine::{fnv1a64, SmokeReport};
 use crate::graph::{FlowGraph, GraphLabels};
-use crate::rm::{Access, Node, ResourceMatrix};
+use crate::rm::Node;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use vhdl1_dataflow::{ActiveRd, SigDef, Solution};
 use vhdl1_syntax::Label;
 
 /// Version stamp of the on-disk artifact format.  Bump on any change to the
@@ -71,13 +70,6 @@ const SEC_KEMMERER: u8 = 6;
 const SEC_SMOKE: u8 = 7;
 const SEC_DYNFLOW: u8 = 8;
 const SEC_NODE_LABELS: u8 = 9;
-// Per-unit artifacts ([`UnitArtifact`]) reuse the same container format
-// under their own tags.  They carry no `SEC_SOURCE`, so a unit file read as
-// a design artifact decodes to `None` — and vice versa a design file read
-// as a unit artifact misses on the absent `SEC_UNIT_META`.
-const SEC_UNIT_META: u8 = 10;
-const SEC_UNIT_ACTIVE: u8 = 11;
-const SEC_UNIT_LOCAL: u8 = 12;
 
 /// The report-facing shape of a design: everything `vhdl1c` reports read
 /// from the elaborated [`Design`](vhdl1_syntax::Design), flattened so a
@@ -155,96 +147,6 @@ impl Artifact {
     }
 }
 
-/// One persisted per-process analysis unit, keyed by
-/// `unit_fingerprint ⊕ rotl17(options_fingerprint)`: the unit's canonical
-/// texts (collision guard) plus the stage rows the incremental engine can
-/// reuse without re-running the per-process fixpoints.
-///
-/// Rows are stored set-canonically (sorted facts, label rows in control-flow
-/// order), so rehydration via [`Solution::from_rows`] reproduces solutions
-/// content-equal to a fresh per-process analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnitArtifact {
-    /// The unit cache key.
-    pub key: u64,
-    /// Canonical design-context text the key mixes in (signal table, process
-    /// count, design/entity names).
-    pub context: String,
-    /// Canonical labelled text of the process itself.
-    pub unit: String,
-    /// Rows `(label, entry, exit)` of the active-signal over-approximation.
-    pub over: Vec<(Label, Vec<SigDef>, Vec<SigDef>)>,
-    /// Rows of the active-signal under-approximation.
-    pub under: Vec<(Label, Vec<SigDef>, Vec<SigDef>)>,
-    /// Entries `(label, node, access)` of the local Resource Matrix.
-    pub local: Vec<(Label, Node, Access)>,
-}
-
-impl UnitArtifact {
-    /// Flattens a computed per-process state into its persisted shape.
-    pub fn of(
-        key: u64,
-        context: &str,
-        unit: &str,
-        active: &ActiveRd,
-        local: &ResourceMatrix,
-    ) -> UnitArtifact {
-        let rows = |s: &Solution<SigDef>| {
-            s.labels()
-                .iter()
-                .map(|&l| {
-                    (
-                        l,
-                        s.entry_of(l).into_iter().collect::<Vec<_>>(),
-                        s.exit_of(l).into_iter().collect::<Vec<_>>(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        UnitArtifact {
-            key,
-            context: context.to_string(),
-            unit: unit.to_string(),
-            over: rows(&active.over),
-            under: rows(&active.under),
-            local: local
-                .iter()
-                .map(|e| (e.label, e.node.clone(), e.access))
-                .collect(),
-        }
-    }
-
-    /// Rehydrates the active-signal Reaching Definitions solutions.
-    pub fn active(&self) -> ActiveRd {
-        let solution = |rows: &[(Label, Vec<SigDef>, Vec<SigDef>)]| {
-            Solution::from_rows(
-                rows.iter()
-                    .map(|(l, en, ex)| {
-                        (
-                            *l,
-                            en.iter().cloned().collect::<BTreeSet<_>>(),
-                            ex.iter().cloned().collect::<BTreeSet<_>>(),
-                        )
-                    })
-                    .collect(),
-            )
-        };
-        ActiveRd {
-            over: solution(&self.over),
-            under: solution(&self.under),
-        }
-    }
-
-    /// Rehydrates the local Resource Matrix.
-    pub fn local_matrix(&self) -> ResourceMatrix {
-        let mut rm = ResourceMatrix::new();
-        for (label, node, access) in &self.local {
-            rm.insert(node.clone(), *label, *access);
-        }
-        rm
-    }
-}
-
 /// A directory of content-addressed analysis artifacts with atomic writes
 /// and deterministic capped eviction (lowest write-sequence first).
 ///
@@ -317,14 +219,6 @@ impl ArtifactStore {
         decode(&bytes, key)
     }
 
-    /// Loads the per-process unit artifact stored under `key`.  Same failure
-    /// domain as [`ArtifactStore::load`]: any anomaly — including the file
-    /// being a whole-design artifact — is a miss.
-    pub fn load_unit(&self, key: u64) -> Option<UnitArtifact> {
-        let bytes = fs::read(self.path_of(key)).ok()?;
-        decode_unit(&bytes, key)
-    }
-
     /// Atomically persists `artifact` (unique temp file + rename), then
     /// evicts oldest-written artifacts beyond the cap.
     ///
@@ -333,28 +227,16 @@ impl ArtifactStore {
     /// Returns the I/O error of the write or rename; eviction failures are
     /// ignored (a racing process may have removed the file first).
     pub fn save(&self, artifact: &Artifact) -> io::Result<()> {
-        self.save_bytes(artifact.key, |seq| encode(artifact, seq))
-    }
-
-    /// Atomically persists a per-process unit artifact.  Units share the
-    /// store's directory, sequence numbering and eviction cap with design
-    /// artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error of the write or rename.
-    pub fn save_unit(&self, unit: &UnitArtifact) -> io::Result<()> {
-        self.save_bytes(unit.key, |seq| encode_unit(unit, seq))
-    }
-
-    fn save_bytes(&self, key: u64, encode: impl FnOnce(u64) -> Vec<u8>) -> io::Result<()> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let bytes = encode(seq);
-        let tmp = self
-            .dir
-            .join(format!(".{:016x}.{}.{}.tmp", key, std::process::id(), seq));
+        let bytes = encode(artifact, seq);
+        let tmp = self.dir.join(format!(
+            ".{:016x}.{}.{}.tmp",
+            artifact.key,
+            std::process::id(),
+            seq
+        ));
         fs::write(&tmp, &bytes)?;
-        let result = fs::rename(&tmp, self.path_of(key));
+        let result = fs::rename(&tmp, self.path_of(artifact.key));
         if result.is_err() {
             let _ = fs::remove_file(&tmp);
         }
@@ -471,65 +353,16 @@ fn encode(artifact: &Artifact, seq: u64) -> Vec<u8> {
             }
         });
     }
-    framed(artifact.key, seq, payload)
-}
 
-fn encode_unit(unit: &UnitArtifact, seq: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(unit.context.len() + unit.unit.len() + 256);
-    section(&mut payload, SEC_UNIT_META, |b| {
-        put_str(b, &unit.context);
-        put_str(b, &unit.unit);
-    });
-    section(&mut payload, SEC_UNIT_ACTIVE, |b| {
-        put_active_rows(b, &unit.over);
-        put_active_rows(b, &unit.under);
-    });
-    section(&mut payload, SEC_UNIT_LOCAL, |b| {
-        put_u64(b, unit.local.len() as u64);
-        for (label, node, access) in &unit.local {
-            put_u64(b, u64::from(*label));
-            put_node(b, node);
-            b.push(match access {
-                Access::M0 => 0,
-                Access::M1 => 1,
-                Access::R0 => 2,
-                Access::R1 => 3,
-            });
-        }
-    });
-    framed(unit.key, seq, payload)
-}
-
-/// Wraps a finished payload in the common header (magic, version, key,
-/// sequence, length, checksum).
-fn framed(key: u64, seq: u64, payload: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
+    out.extend_from_slice(&artifact.key.to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
-}
-
-/// One label's reconstructed over- or under-approximation row: the active
-/// signal definitions at entry and at exit.
-type ActiveRow = (Label, Vec<SigDef>, Vec<SigDef>);
-
-fn put_active_rows(out: &mut Vec<u8>, rows: &[ActiveRow]) {
-    put_u64(out, rows.len() as u64);
-    for (label, entry, exit) in rows {
-        put_u64(out, u64::from(*label));
-        for defs in [entry, exit] {
-            put_u64(out, defs.len() as u64);
-            for (sig, at) in defs {
-                put_str(out, sig);
-                put_u64(out, u64::from(*at));
-            }
-        }
-    }
 }
 
 fn section(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
@@ -672,26 +505,6 @@ impl<'a> Reader<'a> {
         Some(graph)
     }
 
-    fn active_rows(&mut self) -> Option<Vec<ActiveRow>> {
-        let count = self.len()?;
-        let mut rows = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let label = Label::try_from(self.u64()?).ok()?;
-            let mut sets = [Vec::new(), Vec::new()];
-            for set in &mut sets {
-                let n = self.len()?;
-                for _ in 0..n {
-                    let sig = self.string()?;
-                    let at = Label::try_from(self.u64()?).ok()?;
-                    set.push((sig, at));
-                }
-            }
-            let [entry, exit] = sets;
-            rows.push((label, entry, exit));
-        }
-        Some(rows)
-    }
-
     fn pairs(&mut self) -> Option<Vec<(String, String)>> {
         let count = self.len()?;
         let mut pairs = Vec::with_capacity(count.min(1024));
@@ -733,9 +546,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Validates the header of a stored file and returns its checksummed
-/// payload.  `None` on any anomaly.
-fn validated_payload(bytes: &[u8], expected_key: u64) -> Option<&[u8]> {
+fn decode(bytes: &[u8], expected_key: u64) -> Option<Artifact> {
     let mut r = Reader::new(bytes);
     if r.take(MAGIC.len())? != MAGIC {
         return None;
@@ -754,11 +565,7 @@ fn validated_payload(bytes: &[u8], expected_key: u64) -> Option<&[u8]> {
     if r.pos != bytes.len() || fnv1a64(payload) != checksum {
         return None;
     }
-    Some(payload)
-}
 
-fn decode(bytes: &[u8], expected_key: u64) -> Option<Artifact> {
-    let payload = validated_payload(bytes, expected_key)?;
     let mut source = None;
     let mut artifact = Artifact::new(expected_key, String::new());
     let mut r = Reader::new(payload);
@@ -813,53 +620,6 @@ fn decode(bytes: &[u8], expected_key: u64) -> Option<Artifact> {
     }
     artifact.source = source?;
     Some(artifact)
-}
-
-fn decode_unit(bytes: &[u8], expected_key: u64) -> Option<UnitArtifact> {
-    let payload = validated_payload(bytes, expected_key)?;
-    let mut meta = None;
-    let mut active = None;
-    let mut local = None;
-    let mut r = Reader::new(payload);
-    while r.pos < payload.len() {
-        let tag = r.u8()?;
-        let len = r.len()?;
-        let body = r.take(len)?;
-        let mut b = Reader::new(body);
-        match tag {
-            SEC_UNIT_META => meta = Some((b.string()?, b.string()?)),
-            SEC_UNIT_ACTIVE => active = Some((b.active_rows()?, b.active_rows()?)),
-            SEC_UNIT_LOCAL => {
-                let count = b.len()?;
-                let mut entries = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let label = Label::try_from(b.u64()?).ok()?;
-                    let node = b.node()?;
-                    let access = match b.u8()? {
-                        0 => Access::M0,
-                        1 => Access::M1,
-                        2 => Access::R0,
-                        3 => Access::R1,
-                        _ => return None,
-                    };
-                    entries.push((label, node, access));
-                }
-                local = Some(entries);
-            }
-            _ => {}
-        }
-    }
-    // A design artifact (no unit sections) is a miss, not a panic.
-    let (context, unit) = meta?;
-    let (over, under) = active?;
-    Some(UnitArtifact {
-        key: expected_key,
-        context,
-        unit,
-        over,
-        under,
-        local: local?,
-    })
 }
 
 #[cfg(test)]
@@ -944,24 +704,6 @@ mod tests {
         artifact
     }
 
-    fn sample_unit(key: u64) -> UnitArtifact {
-        UnitArtifact {
-            key,
-            context: "design rtl entity e\nprocesses 2\nsignal a in std_logic\n".into(),
-            unit: "process p #0\nbegin\n1: b <= a\n2: wait on a\n".into(),
-            over: vec![
-                (1, vec![("a".into(), 2)], vec![("a".into(), 2)]),
-                (2, vec![("a".into(), 2), ("b".into(), 1)], vec![]),
-            ],
-            under: vec![(1, vec![], vec![]), (2, vec![("b".into(), 1)], vec![])],
-            local: vec![
-                (1, Node::res("b"), Access::M1),
-                (1, Node::res("a"), Access::R0),
-                (2, Node::res("a"), Access::R1),
-            ],
-        }
-    }
-
     #[test]
     fn roundtrip_preserves_every_section() {
         let tmp = TempDir::new("roundtrip");
@@ -975,37 +717,6 @@ mod tests {
         store.save(&bare).unwrap();
         assert_eq!(store.load(0x99).unwrap(), bare);
         assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn unit_artifacts_roundtrip_and_rehydrate() {
-        let tmp = TempDir::new("unit");
-        let store = ArtifactStore::open(tmp.path(), 16).unwrap();
-        let unit = sample_unit(0x51);
-        store.save_unit(&unit).unwrap();
-        let loaded = store.load_unit(0x51).expect("unit must load");
-        assert_eq!(loaded, unit);
-        // Rehydrated solutions carry the persisted rows set-canonically.
-        let active = loaded.active();
-        assert_eq!(active.over.entry_of(2).len(), 2);
-        assert!(active.must_be_active_at(2).contains("b"));
-        let rm = loaded.local_matrix();
-        assert!(rm.contains(&Node::res("b"), 1, Access::M1));
-        assert_eq!(rm.len(), 3);
-    }
-
-    #[test]
-    fn design_and_unit_artifacts_miss_each_other() {
-        let tmp = TempDir::new("cross-kind");
-        let store = ArtifactStore::open(tmp.path(), 16).unwrap();
-        store.save(&sample_artifact(0x61)).unwrap();
-        store.save_unit(&sample_unit(0x62)).unwrap();
-        // A unit file read as a design artifact (and vice versa) is a miss,
-        // never a panic or a wrong-shape hit.
-        assert!(store.load(0x62).is_none());
-        assert!(store.load_unit(0x61).is_none());
-        assert!(store.load(0x61).is_some());
-        assert!(store.load_unit(0x62).is_some());
     }
 
     #[test]
@@ -1149,20 +860,29 @@ mod tests {
         let tmp = TempDir::new("forward");
         let store = ArtifactStore::open(tmp.path(), 16).unwrap();
         let key = 0x31u64;
-        // Hand-build an artifact with an unknown trailing section.
-        let mut payload = Vec::new();
-        section(&mut payload, SEC_SOURCE, |b| put_str(b, "src"));
-        section(&mut payload, 200, |b| b.extend_from_slice(b"future data"));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&key.to_le_bytes());
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        fs::write(store.dir().join(format!("{key:016x}.{EXTENSION}")), &bytes).unwrap();
-        let loaded = store.load(0x31).expect("unknown section must be skipped");
+        // Hand-build an artifact from a payload of sections.
+        let write = |with_source: bool| {
+            let mut payload = Vec::new();
+            if with_source {
+                section(&mut payload, SEC_SOURCE, |b| put_str(b, "src"));
+            }
+            section(&mut payload, 200, |b| b.extend_from_slice(b"future data"));
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(MAGIC);
+            bytes.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&key.to_le_bytes());
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            fs::write(store.dir().join(format!("{key:016x}.{EXTENSION}")), &bytes).unwrap();
+        };
+        write(true);
+        let loaded = store.load(key).expect("unknown section must be skipped");
         assert_eq!(loaded.source, "src");
+        // A well-framed file with no source section (e.g. a per-process
+        // unit file of an older version) is a miss, never a panic.
+        write(false);
+        assert!(store.load(key).is_none());
     }
 }

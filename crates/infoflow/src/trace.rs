@@ -445,22 +445,6 @@ pub fn render_prometheus(snapshot: &TraceSnapshot, stats: &EngineStats) -> Strin
     let _ = writeln!(out, "vhdl1_store_writes_total {}", stats.store_writes);
     let _ = writeln!(
         out,
-        "# HELP vhdl1_units_reused_total Per-process stages reused across workspace updates."
-    );
-    let _ = writeln!(out, "# TYPE vhdl1_units_reused_total counter");
-    let _ = writeln!(out, "vhdl1_units_reused_total {}", stats.units_reused);
-    let _ = writeln!(
-        out,
-        "# HELP vhdl1_units_recomputed_total Per-process stages recomputed across workspace updates."
-    );
-    let _ = writeln!(out, "# TYPE vhdl1_units_recomputed_total counter");
-    let _ = writeln!(
-        out,
-        "vhdl1_units_recomputed_total {}",
-        stats.units_recomputed
-    );
-    let _ = writeln!(
-        out,
         "# HELP vhdl1_deadline_events_total Deadline/cancel trips observed at stage boundaries."
     );
     let _ = writeln!(out, "# TYPE vhdl1_deadline_events_total counter");

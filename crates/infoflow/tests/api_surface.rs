@@ -78,12 +78,12 @@ fn compile_time_surface_check() {
     use vhdl1_infoflow::{
         analyze, analyze_all, analyze_source, analyze_with, audit, fnv1a64, global_closure,
         improved_closure, kemmerer_graph, kemmerer_graph_from_matrix, local_dependencies,
-        local_dependencies_process, options_fingerprint, render_prometheus, specialize_rd, Access,
-        Analysis, AnalysisOptions, AnalysisOptionsBuilder, AnalysisResult, Artifact, ArtifactStore,
-        AuditReport, CachePolicy, DesignSummary, Engine, EngineConfig, EngineError, EnginePhase,
-        EngineStats, FlowGraph, GraphLabels, ImprovedClosure, ImprovedOptions, Node, Policy,
-        ResourceMatrix, RmEntry, SpanRecord, SpecializedRd, StageAgg, TraceEvent, TraceSink,
-        TraceSnapshot, UnitArtifact, Violation, Workspace, ARTIFACT_VERSION,
+        options_fingerprint, render_prometheus, specialize_rd, Access, Analysis, AnalysisOptions,
+        AnalysisOptionsBuilder, AnalysisResult, Artifact, ArtifactStore, AuditReport, CachePolicy,
+        DesignSummary, Engine, EngineConfig, EngineError, EnginePhase, EngineStats, FlowGraph,
+        GraphLabels, ImprovedClosure, ImprovedOptions, Node, Policy, ResourceMatrix, RmEntry,
+        SpanRecord, SpecializedRd, StageAgg, TraceEvent, TraceSink, TraceSnapshot, Violation,
+        Workspace, ARTIFACT_VERSION,
     };
     // A couple of value-level touches so the imports are demonstrably live.
     let _ = fnv1a64(b"api");

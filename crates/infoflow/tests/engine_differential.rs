@@ -12,14 +12,19 @@
 //!
 //! The improved closure (Table 9) is checked twice more per design: against
 //! its ALFP clause encoding, and against the base closure (Table 8), which
-//! it must contain exactly on the plain resources at program labels.
+//! it must contain exactly on the plain resources at program labels.  The
+//! same loop pins why [Incoming values] adds nothing of its own: no `in`
+//! port ever has a wait-label definition.
 
+use std::collections::BTreeSet;
 use vhdl1_corpus::{generate, CorpusSpec};
+use vhdl1_dataflow::Def;
 use vhdl1_infoflow::alfp_encoding::solve_improved;
 use vhdl1_infoflow::{
-    analyze_with, AnalysisOptions, Engine, EngineStats, ImprovedClosure, Node, ResourceMatrix,
+    analyze_with, AnalysisOptions, AnalysisResult, Engine, EngineStats, ImprovedClosure, Node,
+    ResourceMatrix,
 };
-use vhdl1_syntax::Design;
+use vhdl1_syntax::{Design, Label};
 
 fn corpus_sources(seed: u64, count: usize) -> Vec<(String, String)> {
     generate(&CorpusSpec::new(seed, count))
@@ -47,6 +52,32 @@ fn assert_restricts_to_global(
         &restricted, global,
         "{name}: improved ≠ global on Res × labels"
     );
+}
+
+/// Asserts that `RD†` gives no `in` port a definition made at a wait
+/// label.  No process may assign an `in` port, so Table 9's [Incoming
+/// values] rule — which needs exactly such a definition — never fires;
+/// [Initial values] seeds the port's incoming node from its `?` definition
+/// instead.
+fn assert_no_input_defined_at_a_wait(design: &Design, result: &AnalysisResult, name: &str) {
+    let inputs = design.input_signals();
+    let waits: BTreeSet<Label> = result
+        .rd
+        .cfg
+        .processes
+        .iter()
+        .flat_map(|p| p.wait_labels())
+        .collect();
+    for (l, defs) in &result.specialized.present {
+        for (n, def) in defs {
+            if let Def::At(lp) = def {
+                assert!(
+                    !(waits.contains(lp) && inputs.contains(n)),
+                    "{name}: in port {n} read at {l} has a wait-label definition {lp}"
+                );
+            }
+        }
+    }
 }
 
 fn check_against_eager(options: AnalysisOptions, seed: u64, count: usize) {
@@ -150,6 +181,7 @@ fn improved_closure_matches_its_alfp_encoding() {
                     "{name} (seed {seed})"
                 );
                 assert_restricts_to_global(&design, improved, &result.global, &name);
+                assert_no_input_defined_at_a_wait(&design, &result, &name);
             }
         }
     }

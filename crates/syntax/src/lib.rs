@@ -30,7 +30,6 @@
 pub mod ast;
 pub mod elaborate;
 pub mod error;
-pub mod fingerprint;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
@@ -45,10 +44,6 @@ pub use elaborate::{
     SignalKind, SignalNumbering, VariableInfo,
 };
 pub use error::{SyntaxError, SyntaxErrorKind};
-pub use fingerprint::{
-    design_context_fingerprint, design_context_text, unit_canonical_text, unit_fingerprint,
-    unit_fingerprints,
-};
 pub use lexer::lex;
 pub use parser::{
     parse, parse_expression, parse_statements, parse_with_depth, DEFAULT_PARSE_DEPTH,

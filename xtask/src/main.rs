@@ -74,23 +74,6 @@
 //!
 //! Only the profile's single-line `"deterministic"` section is read; every
 //! wall-clock field is ignored by construction.
-//!
-//! ## `edit-series`
-//!
-//! Folds the incremental-reuse counters of a `vhdl1c edit-stream
-//! --profile=FILE` profile document into the bench summary:
-//!
-//! ```console
-//! $ cargo run -p xtask -- edit-series \
-//!       --profile edit_profile.json --out BENCH_alfp.json
-//! ```
-//!
-//! The `incremental_edit` point records how many process units the edit
-//! replay *recomputed* (encoded as `median_ns`, plus one), so any decay in
-//! per-process reuse — an edit suddenly recomputing untouched processes —
-//! trips the ordinary `bench-gate` once baselined.  Profiles with zero
-//! reused units are rejected: they mean the incremental path never ran and
-//! would gate nothing.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -102,7 +85,6 @@ fn main() -> ExitCode {
         Some("dynflow-series") => dynflow_series(&args[1..]),
         Some("profile-series") => profile_series(&args[1..]),
         Some("store-series") => store_series(&args[1..]),
-        Some("edit-series") => edit_series(&args[1..]),
         Some(other) => {
             eprintln!("unknown task `{other}`");
             eprintln!("{USAGE}");
@@ -115,7 +97,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:\n  cargo run -p xtask -- bench-gate --baseline <file> --current <file> \\\n      [--tolerance <percent>] [--no-rescale]\n  cargo run -p xtask -- dynflow-series --report <verify.json> --out <file>\n  cargo run -p xtask -- profile-series --profile <profile.json> --out <file>\n  cargo run -p xtask -- store-series --warm <profile.json> --out <file>\n  cargo run -p xtask -- edit-series --profile <profile.json> --out <file>";
+const USAGE: &str = "usage:\n  cargo run -p xtask -- bench-gate --baseline <file> --current <file> \\\n      [--tolerance <percent>] [--no-rescale]\n  cargo run -p xtask -- dynflow-series --report <verify.json> --out <file>\n  cargo run -p xtask -- profile-series --profile <profile.json> --out <file>\n  cargo run -p xtask -- store-series --warm <profile.json> --out <file>";
 
 fn bench_gate(args: &[String]) -> ExitCode {
     let mut baseline_path = None;
@@ -304,81 +286,6 @@ fn store_series(args: &[String]) -> ExitCode {
     }
     println!("store-series: appended to {out_path}: {point}");
     ExitCode::SUCCESS
-}
-
-fn edit_series(args: &[String]) -> ExitCode {
-    let mut profile_path = None;
-    let mut out_path = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--profile" => profile_path = it.next().cloned(),
-            "--out" => out_path = it.next().cloned(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (Some(profile_path), Some(out_path)) = (profile_path, out_path) else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let profile = match std::fs::read_to_string(&profile_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {profile_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let point = match edit_point(&profile) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {profile_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let existing = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let merged = append_point(&existing, &point);
-    if let Err(e) = std::fs::write(&out_path, &merged) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("edit-series: appended to {out_path}: {point}");
-    ExitCode::SUCCESS
-}
-
-/// Builds the `incremental_edit` bench point from the profile of a
-/// `vhdl1c edit-stream --profile=FILE` replay.  The point's value is the
-/// number of process units the replay recomputed — on a cold engine
-/// exactly the base design plus one process per edit — so reuse decay
-/// (an edit invalidating untouched processes) trips `bench-gate` once
-/// baselined.  Rejects profiles that reused nothing (`units_reused ==
-/// 0`): those mean the incremental path never ran and gate nothing.
-fn edit_point(profile: &str) -> Result<String, String> {
-    let engine_line = profile
-        .lines()
-        .find(|l| l.trim_start().starts_with("\"engine\""))
-        .ok_or("missing engine section")?;
-    let reused = field_after(engine_line, "\"engine\"", "units_reused")?;
-    if reused == 0 {
-        return Err(
-            "profile reused no units; was this produced by `vhdl1c edit-stream --profile=FILE`?"
-                .into(),
-        );
-    }
-    let recomputed = field_after(engine_line, "\"engine\"", "units_recomputed")?;
-    let det_line = profile
-        .lines()
-        .find(|l| l.trim_start().starts_with("\"deterministic\""))
-        .ok_or("missing deterministic section")?;
-    let revisions = field_after(det_line, "\"deterministic\"", "jobs")?;
-    Ok(format!(
-        "{{\"workload\": \"incremental_edit\", \"size\": {revisions}, \
-         \"reused\": {reused}, \"value\": {recomputed}, \"median_ns\": {}}}",
-        recomputed + 1
-    ))
 }
 
 /// Builds the `persistent_warm_cold` bench point from the profile of a
@@ -855,33 +762,6 @@ mod tests {
         let cold = warm.replace("\"store_hits\": 25", "\"store_hits\": 0");
         assert!(store_point(&cold).is_err());
         assert!(store_point("{}").is_err());
-    }
-
-    #[test]
-    fn edit_point_measures_recomputed_units() {
-        // Engine line of a cold 8-process / 4-edit replay: the base run
-        // computes all 8 units, each edit recomputes exactly one.
-        let profile = r#"{
-  "tool": "vhdl1c-profile",
-  "deterministic": {"jobs": 5, "unique_jobs": 5, "cache_hits": 0, "cache_misses": 5},
-  "engine": {"frontend": 5, "rd": 5, "local": 5, "specialized": 0, "global": 5, "improved": 5, "flow_graph": 5, "kemmerer": 5, "smoke": 0, "dynamic_flows": 0, "cache_hits": 0, "cache_misses": 5, "store_hits": 0, "store_misses": 0, "store_writes": 0, "units_reused": 28, "units_recomputed": 12},
-  "wall_ns": 1
-}"#;
-        let point = edit_point(profile).unwrap();
-        assert!(point.contains("\"workload\": \"incremental_edit\""));
-        assert!(point.contains("\"size\": 5"));
-        assert!(point.contains("\"reused\": 28"));
-        assert!(point.contains("\"value\": 12"));
-        assert!(point.contains("\"median_ns\": 13"));
-        assert_eq!(
-            parse_points(&format!("[{point}]")).unwrap(),
-            pts(&[("incremental_edit", 5, 13)])
-        );
-        // A profile that reused nothing (plain `analyze`, or a replay with
-        // the cache disabled) gates nothing: reject it.
-        let cold = profile.replace("\"units_reused\": 28", "\"units_reused\": 0");
-        assert!(edit_point(&cold).is_err());
-        assert!(edit_point("{}").is_err());
     }
 
     #[test]
